@@ -5,8 +5,6 @@ degree balance of just two vertices; connectivity is only rechecked for the
 rare subsets that pass the balance test.
 """
 
-import time
-
 from trailfrac import count_family_closed_form, count_trails_exact, gen_family, gen_path
 
 print("paths: d equals the number of nonempty contiguous runs, k(k+1)/2")
@@ -20,15 +18,6 @@ for m in range(2, 17, 2):
     enum = count_trails_exact(gen_family(m))
     closed = count_family_closed_form(m)
     print(f"  {m:>3} {enum.d:>12} {closed.total:>12} {float(enum.f):>12.6f}")
-
-# The enumeration partitions work by fixing the top edge bits per lane;
-# the count never depends on the lane setting.
-g = gen_family(16)
-print("\nlane independence on the 16-edge family graph:")
-for lanes in (1, 2, 4, 8):
-    t0 = time.perf_counter()
-    report = count_trails_exact(g, lanes=lanes)
-    print(f"  lanes={lanes}: d={report.d}  ({time.perf_counter() - t0:.3f}s)")
 
 # The closed form keeps working far beyond the enumeration cap of 30 edges.
 big = count_family_closed_form(200)

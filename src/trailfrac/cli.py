@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -87,21 +86,9 @@ def _cmd_check(args) -> str:
     return _render(payload, args.format, text)
 
 
-def _resolve_lanes(args) -> int:
-    if args.lanes is not None:
-        return args.lanes
-    env = os.environ.get("TRAILFRAC_LANES")
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"invalid TRAILFRAC_LANES value {env!r}: expected an integer") from None
-
-
 def _cmd_count(args) -> str:
     g = _load_graph(args.graph)
-    report = counting.count_trails_exact(g, lanes=_resolve_lanes(args))
+    report = counting.count_trails_exact(g)
     payload = report.to_json_dict()
 
     def text(p) -> str:
@@ -110,7 +97,6 @@ def _cmd_count(args) -> str:
             f"d: {p['d']}\n"
             f"f: {p['f']} = {p['f_decimal']}\n"
             f"elapsed: {p['elapsed']:.3f}s\n"
-            f"lanes: {p['lanes']}\n"
         )
 
     return _render(payload, args.format, text)
@@ -262,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact d(G) and f(G) by enumeration (m <= 30)")
     p.add_argument("graph")
-    p.add_argument("--lanes", type=int, default=None, help="work partition count (default: $TRAILFRAC_LANES or 1)")
     add_output(p)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of f(G)")

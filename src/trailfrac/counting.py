@@ -1,28 +1,27 @@
 """Exact and Monte Carlo computation of the trail fraction f(G) = d(G)/2^m.
 
-``count_trails_exact`` enumerates every edge subset in Gray-code order so the
-per-vertex imbalance state changes by a single edge toggle per step; the
+``count_trails_exact`` enumerates every edge subset in one Gray-code pass so
+the per-vertex imbalance state changes by a single edge toggle per step; the
 connectivity test (disjoint-set union, rebuilt per candidate) runs only for
-subsets that already pass the degree condition. Work is partitioned into lanes
-by fixing the top edge-membership bits, which makes the total independent of
-the partition count.
+subsets that already pass the degree condition.
 
 ``estimate_trail_fraction`` draws subsets from m independent fair bits per
-sample. The bits for sample ``i`` come from a Philox counter stream keyed by
-the seed at position ``i``, so estimates are reproducible regardless of how
-samples would be scheduled across workers.
+sample. Sample ``i`` takes the ``ceil(m/64)`` Philox words at positions
+``i*ceil(m/64)`` onward of the stream keyed by the seed, least significant
+word first, so estimates are reproducible for a fixed ``(seed, samples)``.
+Each distinct sampled subset is decided once.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
-import numpy as np
 from numpy.random import Philox
-from scipy.stats import norm
 
 from .graphs import Multigraph
 from .trails import _edge_arrays, _mask_connected, _mask_is_trail
@@ -40,7 +39,6 @@ class CountReport:
     d: int
     f: Fraction
     elapsed: float
-    lanes: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -49,7 +47,6 @@ class CountReport:
             "f": f"{self.d}/{1 << self.m}",
             "f_decimal": self.d / (1 << self.m),
             "elapsed": self.elapsed,
-            "lanes": self.lanes,
         }
 
 
@@ -83,39 +80,23 @@ class FamilyCount:
     total: int
 
 
-def _count_subcube(n: int, src: list[int], dst: list[int], base: int, free: int) -> int:
-    """Count trail subsets in the sub-cube ``base | x`` for x over the low ``free`` bits.
+def _count_gray(n: int, src: list[int], dst: list[int], m: int) -> int:
+    """Count trail subsets among all 2^m edge masks, visited in Gray-code order.
 
     Maintains per-vertex imbalances plus summary counters (#vertices off
-    balance, #at +1, #at -1) under single-edge toggles.
+    balance, #at +1, #at -1) under single-edge toggles, starting from the
+    empty subset.
     """
     imb = [0] * n
-    mm = base
-    while mm:
-        low = mm & -mm
-        mm ^= low
-        j = low.bit_length() - 1
-        imb[src[j]] += 1
-        imb[dst[j]] -= 1
     nonzero = plus1 = minus1 = 0
-    for x in imb:
-        if x:
-            nonzero += 1
-            if x == 1:
-                plus1 += 1
-            elif x == -1:
-                minus1 += 1
 
     # With n <= 2 every edge joins the same vertex pair, so any nonempty
     # subset is weakly connected and the DSU pass can be skipped.
     trivial_conn = n <= 2
 
     d = 0
-    cur = base
-    if cur and (nonzero == 0 or (nonzero == 2 and plus1 == 1 and minus1 == 1)):
-        if trivial_conn or _mask_connected(src, dst, cur):
-            d += 1
-    for g in range(1, 1 << free):
+    cur = 0
+    for g in range(1, 1 << m):
         low = g & -g
         j = low.bit_length() - 1
         cur ^= low
@@ -158,27 +139,19 @@ def _count_subcube(n: int, src: list[int], dst: list[int], base: int, free: int)
     return d
 
 
-def count_trails_exact(g: Multigraph, lanes: int = 1) -> CountReport:
-    """Exact d(G) and f(G) by enumeration of all 2^m subsets.
+def count_trails_exact(g: Multigraph) -> CountReport:
+    """Exact d(G) and f(G) by enumeration of all 2^m subsets in one Gray-code pass.
 
-    ``lanes`` controls how the subset cube is partitioned (the top
-    ceil(log2(lanes)) edge bits are fixed per sub-cube); the count is
-    identical for every lane setting.
+    Raises ``ValueError`` when m exceeds ``ENUM_MAX_EDGES``.
     """
     m = g.m
     if m > ENUM_MAX_EDGES:
         raise ValueError(f"m={m} too large for exact enumeration (max {ENUM_MAX_EDGES})")
-    if lanes < 1:
-        raise ValueError("lanes must be a positive integer")
     start = time.perf_counter()
     src, dst = _edge_arrays(g)
-    fixed = min(m, (lanes - 1).bit_length())
-    free = m - fixed
-    d = 0
-    for prefix in range(1 << fixed):
-        d += _count_subcube(g.vertex_count, src, dst, prefix << free, free)
+    d = _count_gray(g.vertex_count, src, dst, m)
     elapsed = time.perf_counter() - start
-    return CountReport(m=m, d=d, f=Fraction(d, 1 << m), elapsed=elapsed, lanes=lanes)
+    return CountReport(m=m, d=d, f=Fraction(d, 1 << m), elapsed=elapsed)
 
 
 def count_family_closed_form(m: int) -> FamilyCount:
@@ -202,7 +175,7 @@ def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[fl
         raise ValueError("samples must be positive")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = float(norm.ppf((1 + confidence) / 2))
+    z = NormalDist().inv_cdf((1 + confidence) / 2)
     n = samples
     p = successes / n
     denom = 1 + z * z / n
@@ -228,26 +201,11 @@ def estimate_trail_fraction(
     src, dst = _edge_arrays(g)
     words = max(1, -(-m // 64))
     raw = Philox(key=seed & _SEED_MASK).random_raw(samples * words)
-    successes = 0
-    if words == 1:
-        masks = raw if m == 64 else raw & np.uint64((1 << m) - 1)
-        values, counts = np.unique(masks, return_counts=True)
-        for mask, cnt in zip(values.tolist(), counts.tolist()):
-            if _mask_is_trail(src, dst, mask):
-                successes += int(cnt)
-    else:
-        full = (1 << m) - 1
-        memo: dict[int, bool] = {}
-        chunks = raw.reshape(samples, words).tolist()
-        for chunk in chunks:
-            mask = 0
-            for k, word in enumerate(chunk):
-                mask |= word << (64 * k)
-            mask &= full
-            hit = memo.get(mask)
-            if hit is None:
-                hit = memo[mask] = _mask_is_trail(src, dst, mask)
-            successes += hit
+    buf = raw.astype("<u8", copy=False).tobytes()
+    step = 8 * words
+    full = (1 << m) - 1
+    masks = Counter(int.from_bytes(buf[i : i + step], "little") & full for i in range(0, len(buf), step))
+    successes = sum(cnt for mask, cnt in masks.items() if _mask_is_trail(src, dst, mask))
     ci_low, ci_high = wilson_interval(successes, samples, confidence)
     return EstimateReport(
         estimate=successes / samples,

@@ -52,18 +52,21 @@ def _mask_imbalances(src: list[int], dst: list[int], mask: int) -> dict[int, int
     return imb
 
 
-def _balance_ok(imbalances: dict[int, int]) -> bool:
+def _balance_counts(imbalances: dict[int, int]) -> tuple[int, int] | None:
+    """Numbers of vertices at +1 and at -1, or None when some |imbalance| > 1."""
     plus = minus = 0
     for x in imbalances.values():
-        if x == 0:
-            continue
         if x == 1:
             plus += 1
         elif x == -1:
             minus += 1
-        else:
-            return False
-    return (plus, minus) in ((0, 0), (1, 1))
+        elif x:
+            return None
+    return plus, minus
+
+
+def _balance_ok(imbalances: dict[int, int]) -> bool:
+    return _balance_counts(imbalances) in ((0, 0), (1, 1))
 
 
 def _mask_connected(src: list[int], dst: list[int], mask: int) -> bool:
@@ -201,14 +204,5 @@ def necessary_balance_condition(g: Multigraph, subset: SubsetLike) -> bool:
     """Balance test every trail must pass: at most one vertex at +1, one at -1, none beyond."""
     mask = subset_mask(g, subset)
     src, dst = _edge_arrays(g)
-    plus = minus = 0
-    for x in _mask_imbalances(src, dst, mask).values():
-        if x == 0:
-            continue
-        if x == 1:
-            plus += 1
-        elif x == -1:
-            minus += 1
-        else:
-            return False
-    return plus <= 1 and minus <= 1
+    counts = _balance_counts(_mask_imbalances(src, dst, mask))
+    return counts is not None and max(counts) <= 1

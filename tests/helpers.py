@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from trailfrac import Multigraph, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
 
 
@@ -46,6 +48,49 @@ def brute_force_d(g: Multigraph) -> int:
         if perm_oracle(g, subset):
             count += 1
     return count
+
+
+def numpy_reference_d(g: Multigraph) -> int:
+    """d(G) over all 2^m subsets by array operations, sharing no code with the library.
+
+    Imbalance is the product of the subset bit matrix with the signed
+    incidence matrix; a subset is balanced iff max|x| <= 1 and sum|x| <= 2.
+    Connectivity of the balanced subsets comes from min-label propagation:
+    every present edge lowers both endpoint labels to their minimum until
+    nothing changes, and the subset is connected iff all touched vertices
+    share one label.
+    """
+    m, n = g.m, g.vertex_count
+    if m == 0:
+        return 0
+    src = np.array([e.source for e in g.edges])
+    dst = np.array([e.target for e in g.edges])
+    incidence = np.zeros((m, n), dtype=np.int8)
+    incidence[np.arange(m), src] += 1
+    incidence[np.arange(m), dst] -= 1
+    masks = np.arange(1, 1 << m, dtype=np.int64)
+    bits = np.empty((masks.size, m), dtype=np.int8)
+    for j in range(m):
+        bits[:, j] = (masks >> j) & 1
+    imbalance = np.abs(bits @ incidence)
+    bits = bits[(imbalance.max(axis=1) <= 1) & (imbalance.sum(axis=1) <= 2)].astype(bool)
+
+    touched = bits @ (incidence != 0)
+    labels = np.broadcast_to(np.arange(n), touched.shape).copy()
+    changed = True
+    while changed:
+        changed = False
+        for j in range(m):
+            present = bits[:, j]
+            a, b = labels[:, src[j]], labels[:, dst[j]]
+            low = np.minimum(a, b)
+            if np.any(present & (a != b)):
+                changed = True
+                labels[:, src[j]] = np.where(present, low, a)
+                labels[:, dst[j]] = np.where(present, low, b)
+    lowest = np.where(touched, labels, n).min(axis=1)
+    highest = np.where(touched, labels, -1).max(axis=1)
+    return int(np.count_nonzero(lowest == highest))
 
 
 def all_subsets(m: int):

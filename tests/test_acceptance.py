@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The whole suite is
 deterministic; the slowest items are the exhaustive enumerations (criteria 3
-and 7), which take on the order of a minute together.
+and 7), which take about half a minute together.
 """
 
 import math
@@ -27,7 +27,7 @@ from trailfrac import (
     wilson_interval,
 )
 
-from helpers import small_corpus
+from helpers import numpy_reference_d, small_corpus
 
 
 def report(number: int, label: str, violations: list) -> None:
@@ -153,20 +153,20 @@ def test_criterion_6_greedy_length_guarantee(corpus):
     report(6, "greedy length >= non-isolated/2 and verifies", violations)
 
 
-def test_criterion_7_determinism_and_lanes():
+def test_criterion_7_reference_counts_and_determinism():
     violations = []
     graphs = [("family20", gen_family(20))]
     for i in range(10):
         graphs.append((f"rand20-{i}", gen_random_multigraph(3 + i % 6, 20, seed=9000 + i)))
     for name, g in graphs:
-        counts = {lanes: count_trails_exact(g, lanes=lanes).d for lanes in (1, 2, 4, 8)}
-        if len(set(counts.values())) != 1:
-            violations.append((name, counts))
+        got, want = count_trails_exact(g).d, numpy_reference_d(g)
+        if got != want:
+            violations.append((name, got, want))
     first = estimate_trail_fraction(gen_family(6), samples=10_000, seed=77)
     second = estimate_trail_fraction(gen_family(6), samples=10_000, seed=77)
     if first != second:
         violations.append(("estimate", first, second))
-    report(7, "lane-independent counts and bit-identical estimates", violations)
+    report(7, "counts match the numpy reference and estimates are bit-identical", violations)
 
 
 def test_criterion_8_estimator_statistics():

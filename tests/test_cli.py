@@ -111,25 +111,7 @@ class TestCount:
         assert payload["d"] == 13
         assert payload["f"] == "13/16"
         assert payload["f_decimal"] == 0.8125
-        assert payload["lanes"] == 1
-
-    def test_lanes_flag(self, capsys, family4_file):
-        code, out, _ = run(capsys, ["count", family4_file, "--lanes", "4"])
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["d"] == 13 and payload["lanes"] == 4
-
-    def test_lanes_env_fallback(self, capsys, family4_file, monkeypatch):
-        monkeypatch.setenv("TRAILFRAC_LANES", "2")
-        code, out, _ = run(capsys, ["count", family4_file])
-        assert code == 0
-        assert json.loads(out)["lanes"] == 2
-
-    def test_bad_lanes_env_exits_1(self, capsys, family4_file, monkeypatch):
-        monkeypatch.setenv("TRAILFRAC_LANES", "many")
-        code, _, err = run(capsys, ["count", family4_file])
-        assert code == 1
-        assert "TRAILFRAC_LANES" in err
+        assert list(payload) == ["m", "d", "f", "f_decimal", "elapsed"]
 
     def test_too_many_edges_exits_1(self, capsys, tmp_path):
         path = tmp_path / "big.txt"

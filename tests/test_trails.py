@@ -118,6 +118,10 @@ class TestNecessaryBalance:
     def test_parallel_edges_fail(self):
         assert not necessary_balance_condition(gen_family(4), [0, 1])
 
+    def test_two_unit_sources_fail(self):
+        # 0->1 and 2->3: every |imbalance| is 1, but two vertices sit at +1
+        assert not necessary_balance_condition(two_disjoint_two_cycles(), [0, 2])
+
     def test_disjoint_cycles_pass_despite_not_trail(self):
         g = two_disjoint_two_cycles()
         assert necessary_balance_condition(g, [0, 1, 2, 3])
