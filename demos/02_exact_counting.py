@@ -1,8 +1,8 @@
 """Exact trail counts d(G) and the trail fraction f(G) = d(G) / 2^m.
 
-Enumerates all 2^m edge subsets in Gray-code order, so each step updates the
-degree balance of just two vertices; connectivity is only rechecked for the
-rare subsets that pass the balance test.
+Decides all 2^m edge subsets in blocks of consecutive masks: numpy arrays hold
+the degree balance of every vertex for a whole block at once, and
+connectivity is only checked for the subsets that pass the balance test.
 """
 
 from trailfrac import count_family_closed_form, count_trails_exact, gen_family, gen_path

@@ -70,6 +70,11 @@ def _comb0(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
+def _window_numerator(c: int, j: int) -> int:
+    """Number of size-c bit strings whose weight lies in {j-1, j, j+1}."""
+    return _comb0(c, j - 1) + _comb0(c, j) + _comb0(c, j + 1)
+
+
 def balance_window_probability(c: int, j: int) -> float:
     """P(X in {j-1, j, j+1}) for X ~ Binomial(c, 1/2); zero outside 0..c.
 
@@ -77,8 +82,7 @@ def balance_window_probability(c: int, j: int) -> float:
     """
     if c < 1:
         raise ValueError(f"c must be positive, got {c}")
-    numerator = _comb0(c, j - 1) + _comb0(c, j) + _comb0(c, j + 1)
-    return numerator / (1 << c)
+    return _window_numerator(c, j) / (1 << c)
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ def proof_ingredient_summary(
     for c in range(1, window_max + 1):
         cap = 3 * math.comb(c, c // 2)
         for j in range(-1, c + 2):
-            if _comb0(c, j - 1) + _comb0(c, j) + _comb0(c, j + 1) > cap:
+            if _window_numerator(c, j) > cap:
                 window_ok = False
                 break
         if not window_ok:

@@ -98,15 +98,6 @@ def _mask_connected(src: list[int], dst: list[int], mask: int) -> bool:
     return touched - merges == 1
 
 
-def _mask_is_trail(src: list[int], dst: list[int], mask: int) -> bool:
-    """Fast bitmask decision used by enumeration and sampling."""
-    if mask == 0:
-        return False
-    if not _balance_ok(_mask_imbalances(src, dst, mask)):
-        return False
-    return _mask_connected(src, dst, mask)
-
-
 def _hierholzer(src: list[int], dst: list[int], mask: int, imbalances: dict[int, int]) -> tuple[int, ...]:
     """Order a feasible mask into a trail, extending by lowest edge index first.
 

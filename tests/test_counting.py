@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trailfrac
 from trailfrac import (
@@ -22,7 +24,19 @@ from trailfrac import (
     wilson_interval,
 )
 
-from helpers import brute_force_d, small_corpus
+from helpers import brute_force_d, numpy_reference_d, small_corpus, two_disjoint_two_cycles
+
+
+@st.composite
+def multigraphs_with_parallels(draw):
+    """n in 1..8 and m <= 12; edges drawn from a small pool of ordered pairs, so
+    parallel edges are common and some vertices stay isolated."""
+    n = draw(st.integers(1, 8))
+    if n < 2:
+        return Multigraph(n, ())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pool = draw(st.lists(pair, min_size=1, max_size=6))
+    return Multigraph(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=12))))
 
 
 class TestExactCount:
@@ -64,6 +78,24 @@ class TestExactCount:
         report = count_trails_exact(g)
         assert report.d == expected
         assert 0 <= report.d <= (1 << g.m) - 1  # empty subset never counts
+
+    def test_disjoint_cycles_not_counted(self):
+        # Four touched vertices can split into two balanced components.
+        g = two_disjoint_two_cycles()
+        d = count_trails_exact(g).d
+        assert d == brute_force_d(g)
+        assert count_trails_exact(Multigraph(10_000, g.edges)).d == d
+
+    def test_small_blocks_same_count(self, monkeypatch):
+        graphs = [gen_family(10), two_disjoint_two_cycles(), gen_random_multigraph(5, 12, seed=4)]
+        want = [count_trails_exact(g).d for g in graphs]
+        monkeypatch.setattr(trailfrac.counting, "_BLOCK_CELLS", 40)
+        assert [count_trails_exact(g).d for g in graphs] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs_with_parallels())
+    def test_matches_numpy_reference(self, g):
+        assert count_trails_exact(g).d == numpy_reference_d(g)
 
     def test_enumeration_cap(self):
         g = gen_random_multigraph(6, 31, seed=2)
@@ -133,6 +165,17 @@ GOLDEN_SUCCESSES = {
 }
 
 
+# Success counts for samples=40_000, recorded before the sampler decided
+# samples in blocks. (130, 3) and (100, 8) cross block boundaries at the
+# default block size; (40, 4) has a nonzero count on more than three vertices.
+GOLDEN_LONG_SAMPLES = 40_000
+GOLDEN_LONG_SUCCESSES = {
+    (130, 3): (2107, 2128, 2202),
+    (100, 8): (0, 0, 0),
+    (40, 4): (2305, 2392, 2375),
+}
+
+
 def _golden_graph(n: int, m: int) -> Multigraph:
     rng = random.Random(1000 * n + m)
     edges = []
@@ -152,6 +195,35 @@ class TestEstimate:
             for seed in GOLDEN_SEEDS
         )
         assert got == GOLDEN_SUCCESSES[(m, n)]
+
+    @pytest.mark.parametrize("m,n", sorted(GOLDEN_LONG_SUCCESSES))
+    def test_golden_success_counts_across_blocks(self, m, n):
+        g, samples = _golden_graph(n, m), GOLDEN_LONG_SAMPLES
+        got = tuple(round(estimate_trail_fraction(g, samples, seed).estimate * samples) for seed in GOLDEN_SEEDS)
+        assert got == GOLDEN_LONG_SUCCESSES[(m, n)]
+
+    def test_small_blocks_same_report(self, monkeypatch):
+        graphs = [_golden_graph(n, m) for m, n in [(16, 3), (40, 4), (65, 3), (130, 2)]]
+        cases = [(g, seed) for g in graphs for seed in GOLDEN_SEEDS]
+        want = [estimate_trail_fraction(g, 1000, seed) for g, seed in cases]
+        # 3 to 21 samples per block for these graphs.
+        monkeypatch.setattr(trailfrac.counting, "_BLOCK_CELLS", 400)
+        assert [estimate_trail_fraction(g, 1000, seed) for g, seed in cases] == want
+
+    def test_many_parallel_edges_never_balance(self):
+        # Vertex imbalances reach about +-300 here, beyond what int8 holds.
+        g = Multigraph(2, ((0, 1),) * 600)
+        assert estimate_trail_fraction(g, 100_000, seed=3).estimate == 0.0
+
+    def test_memory_bounded_in_samples(self):
+        g = _golden_graph(3, 130)
+        tracemalloc.start()
+        try:
+            estimate_trail_fraction(g, samples=1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_bit_identical_for_fixed_seed(self):
         g = gen_family(6)
