@@ -1,8 +1,9 @@
 """Exact trail counts d(G) and the trail fraction f(G) = d(G) / 2^m.
 
 Decides all 2^m edge subsets in blocks of consecutive masks: numpy arrays hold
-the degree balance of every vertex for a whole block at once, and
-connectivity is only checked for the subsets that pass the balance test.
+the degree balance of every vertex for a whole block at once, and the
+subsets that pass the balance test get their connectivity checked together
+by label propagation.
 """
 
 from trailfrac import count_family_closed_form, count_trails_exact, gen_family, gen_path

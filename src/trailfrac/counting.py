@@ -2,8 +2,10 @@
 
 Both routes decide subsets with one kernel, ``_count_trails``, fed blocks of
 about ``_BLOCK_CELLS`` cells, so memory grows neither with 2^m nor with the
-number of samples. ``count_trails_exact`` feeds it all 2^m subsets as blocks
-of consecutive masks.
+number of samples. The kernel keeps the subsets whose vertex imbalances allow
+a trail and decides their connectivity together by label propagation, both
+with numpy row operations over the whole block. ``count_trails_exact`` feeds
+it all 2^m subsets as blocks of consecutive masks.
 
 ``estimate_trail_fraction`` draws subsets from m independent fair bits per
 sample. Sample ``i`` takes the ``ceil(m/64)`` Philox words at positions
@@ -23,12 +25,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .graphs import Multigraph
-from .trails import _edge_arrays, _mask_connected
+from .trails import _edge_arrays
 
-# 11.5 ns per subset on the 30-edge two-vertex family (12 s), 30 ns on a random
-# 27-edge graph on 8 vertices, 1.1 us on a near-regular 20-edge graph on 5
-# vertices whose 11% balanced subsets each need a connectivity test (2-vCPU
-# Xeon VM, Python 3.11, numpy 2.4.6).
+# 25-27 ns per subset on the 30-edge two-vertex family (27-29 s), 37 ns on a
+# random 27-edge graph on 8 vertices, 116 ns on a near-regular 20-edge graph
+# on 5 vertices whose 11% balanced subsets all go through the batched
+# connectivity test (2-vCPU Xeon VM, Python 3.11, numpy 2.4.6).
 ENUM_MAX_EDGES = 30
 
 # Edge bits plus vertex imbalances per kernel block.
@@ -95,8 +97,8 @@ def _count_trails(src: list[int], dst: list[int], bits: np.ndarray) -> int:
     """How many columns of the 0/1 block are trails; row j holds edge j's bits.
 
     Imbalances are summed vertex-major over the vertices some edge touches,
-    one contiguous row add and subtract per edge. The connectivity test of
-    ``trails`` runs only on the balanced nonempty columns.
+    one contiguous row add and subtract per edge. The balanced nonempty
+    columns then get one batched connectivity test, ``_connected_columns``.
     """
     m = len(src)
     if m == 0:
@@ -110,14 +112,39 @@ def _count_trails(src: list[int], dst: list[int], bits: np.ndarray) -> int:
         imb[ends[m + j]] -= signed[j]
     balanced = (np.abs(imb).max(axis=0) <= 1) & (np.count_nonzero(imb, axis=0) <= 2) & bits.any(axis=0)
     # Self-loops are forbidden, so two weak components need four vertices.
-    if touched.size <= 3:
+    if touched.size <= 3 or not balanced.any():
         return int(np.count_nonzero(balanced))
-    width = -(-m // 8)
-    packed = np.packbits(bits[:, balanced], axis=0, bitorder="little").T.tobytes()
-    return sum(
-        _mask_connected(src, dst, int.from_bytes(packed[i : i + width], "little"))
-        for i in range(0, len(packed), width)
-    )
+    return int(np.count_nonzero(_connected_columns(ends, touched.size, bits[:, balanced])))
+
+
+def _connected_columns(ends: np.ndarray, n: int, bits: np.ndarray) -> np.ndarray:
+    """Which columns of the 0/1 block are nonempty with all edges in one weak component.
+
+    Edge j runs between vertices ``ends[j]`` and ``ends[m + j]`` of ``0..n-1``.
+    Every vertex starts labelled with its own number; each present edge lowers
+    both endpoint labels to their minimum, one vertex-major row operation per
+    edge, in sweeps over the edges in order until no label changes. Then
+    each touched vertex carries the least vertex of its component, and a column
+    is connected iff exactly one touched vertex is its own label.
+    """
+    m, cols = bits.shape
+    present = bits.view(bool)
+    # Labels stay below n, so the smallest type holding n - 1 cannot wrap.
+    labels = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None], cols, axis=1)
+    seen = np.zeros((n, cols), dtype=bool)
+    for j in range(m):
+        seen[ends[j]] |= present[j]
+        seen[ends[m + j]] |= present[j]
+    while True:
+        before = labels.copy()
+        for j in range(m):
+            a, b = labels[ends[j]], labels[ends[m + j]]
+            np.minimum(a, b, out=a, where=present[j])
+            np.copyto(b, a, where=present[j])
+        if np.array_equal(before, labels):
+            break
+    roots = seen & (labels == np.arange(n)[:, None])
+    return np.count_nonzero(roots, axis=0) == 1
 
 
 def count_trails_exact(g: Multigraph) -> CountReport:

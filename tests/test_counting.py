@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,12 +18,14 @@ from trailfrac import (
     count_family_closed_form,
     count_trails_exact,
     estimate_trail_fraction,
+    gen_cycle,
     gen_family,
     gen_path,
     gen_random_multigraph,
     is_trail,
     wilson_interval,
 )
+from trailfrac.counting import _connected_columns, _count_trails
 
 from helpers import brute_force_d, numpy_reference_d, small_corpus, two_disjoint_two_cycles
 
@@ -37,6 +40,23 @@ def multigraphs_with_parallels(draw):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pool = draw(st.lists(pair, min_size=1, max_size=6))
     return Multigraph(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=12))))
+
+
+@st.composite
+def graphs_with_blocks(draw):
+    """A graph whose edges touch 4 to 12 vertices, with parallel edges common,
+    and a 0/1 block of its edge subsets, one per column, often sparse enough
+    to be balanced."""
+    k = draw(st.integers(4, 12))
+    # One pair per vertex touches all k of them; reversed pairs make short
+    # cycles, so columns that are balanced but disconnected are common.
+    pool = [(v, draw(st.integers(0, k - 2).map(lambda t, v=v: t + (t >= v)))) for v in range(k)]
+    pool += [(t, s) for s, t in pool if draw(st.booleans())]
+    edges = draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=12))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    bits = (rng.random((len(edges), draw(st.integers(1, 48)))) < density).astype(np.uint8)
+    return Multigraph(k, tuple(edges)), bits
 
 
 class TestExactCount:
@@ -97,6 +117,16 @@ class TestExactCount:
     def test_matches_numpy_reference(self, g):
         assert count_trails_exact(g).d == numpy_reference_d(g)
 
+    @pytest.mark.parametrize(
+        "make,d", [(gen_path, 24 * 25 // 2), (gen_cycle, 24 * 23 + 1)], ids=["path", "cycle"]
+    )
+    def test_reversed_long_chains(self, make, d):
+        # Trails are the runs of consecutive edges: m(m+1)/2 on the path, m(m-1)
+        # on the cycle plus the whole cycle. Listing the edges backwards makes
+        # each label propagation sweep move a label only one edge along the chain.
+        g = make(24)
+        assert count_trails_exact(Multigraph(g.vertex_count, g.edges[::-1])).d == d
+
     def test_enumeration_cap(self):
         g = gen_random_multigraph(6, 31, seed=2)
         with pytest.raises(ValueError, match="too large"):
@@ -108,6 +138,40 @@ class TestExactCount:
         assert payload["f"] == "13/16"
         assert payload["f_decimal"] == 0.8125
         json.dumps(payload)
+
+
+class TestConnectivity:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_blocks())
+    def test_block_count_matches_is_trail(self, case):
+        g, bits = case
+        src, dst = [e.source for e in g.edges], [e.target for e in g.edges]
+        assert _count_trails(src, dst, bits) == sum(
+            is_trail(g, np.flatnonzero(column).tolist()).is_trail for column in bits.T
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_blocks())
+    def test_columns_match_networkx(self, case):
+        nx = pytest.importorskip("networkx")
+        g, bits = case
+        src, dst = [e.source for e in g.edges], [e.target for e in g.edges]
+        touched, ends = np.unique(src + dst, return_inverse=True)
+        got = _connected_columns(ends, touched.size, bits)
+        for column, verdict in zip(bits.T, got):
+            sub = nx.MultiDiGraph([g.edges[j] for j in np.flatnonzero(column)])
+            assert verdict == (column.any() and nx.is_weakly_connected(sub))
+
+    def test_labels_wider_than_int16(self):
+        # 40 000 touched vertices: int16 labels would wrap, and the all-edges
+        # column would then look connected.
+        k = 20_000
+        cycle = [(i, (i + 1) % k) for i in range(k)]
+        edges = cycle + [(k + s, k + t) for s, t in cycle]
+        bits = np.zeros((2 * k, 3), dtype=np.uint8)
+        bits[:, 0] = 1
+        bits[:k, 1] = 1
+        assert _count_trails([s for s, _ in edges], [t for _, t in edges], bits) == 1
 
 
 class TestFamilyClosedForm:
