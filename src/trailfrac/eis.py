@@ -5,11 +5,15 @@ least one incident edge not incident to any earlier vertex. The greedy
 procedure below always picks the vertex with the fewest remaining incident
 edges; each pick removes at most two vertices from the working set, so when
 every vertex starts with an incident edge the sequence reaches length at
-least |V|/2.
+least |V|/2. This is the smallest-last elimination order of Matula and Beck
+(J. ACM 30(3), 1983); a binary heap of ``(remaining degree, vertex)`` entries
+with lazy deletion finds each pick, so the whole sequence costs
+O((n + m) log n).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -39,21 +43,35 @@ def greedy_eis(g: Multigraph) -> EisSequence:
     for graphs in which every vertex has an incident edge the result has length
     at least |V|/2. The certificate fresh edge recorded for each vertex is the
     lowest-index edge still present when the vertex is picked.
+
+    Picks come from a heap of ``(remaining degree, vertex)`` entries, so they
+    follow the tie-break above exactly. Each step pushes one fresh entry per
+    surviving neighbour, whatever the number of parallel edges it lost, and
+    entries are never removed: a popped entry whose vertex is gone is skipped.
+    Degrees only fall, so a live vertex's current entry is smaller than its
+    stale ones and always pops first. A pair of adjacent vertices causes at
+    most one push, so the heap holds at most n + min(m, n²) entries and the
+    cost is O((n + m) log n).
     """
     remaining: dict[int, set[int]] = {}
     for i, (s, t) in enumerate(g.edges):
         remaining.setdefault(s, set()).add(i)
         remaining.setdefault(t, set()).add(i)
+    heap = [(len(edges), v) for v, edges in remaining.items()]
+    heapq.heapify(heap)
 
     vertices: list[int] = []
     fresh_edges: list[int] = []
     eliminated: list[int] = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(remaining[u]), u))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if v not in remaining:
+            continue
         dropped = remaining.pop(v)
         vertices.append(v)
         fresh_edges.append(min(dropped))
         removed = 1
+        lowered: set[int] = set()
         for e in dropped:
             s, t = g.edges[e]
             u = t if s == v else s
@@ -61,9 +79,14 @@ def greedy_eis(g: Multigraph) -> EisSequence:
             if live is None:
                 continue
             live.discard(e)
-            if not live:
+            if live:
+                lowered.add(u)
+            else:
                 del remaining[u]
                 removed += 1
+        for u in lowered:
+            if u in remaining:
+                heapq.heappush(heap, (len(remaining[u]), u))
         eliminated.append(removed)
     return EisSequence(tuple(vertices), tuple(fresh_edges), tuple(eliminated))
 

@@ -64,19 +64,19 @@ class EdgeSubset:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], width: int) -> EdgeSubset:
-        mask = 0
+        one = ord("1")
+        digits = bytearray(b"0" * width)  # binary digits, bit i at position width - 1 - i
         for i in indices:
             if not 0 <= i < width:
                 raise ValueError(f"edge index {i} out of range for m={width}")
-            bit = 1 << i
-            if mask & bit:
+            if digits[width - 1 - i] == one:
                 raise ValueError(f"duplicate edge index {i}")
-            mask |= bit
-        return cls(mask, width)
+            digits[width - 1 - i] = one
+        return cls(int(digits, 2) if width else 0, width)
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if self.mask >> i & 1)
+        return tuple(mask_indices(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -89,6 +89,11 @@ class EdgeSubset:
 
 
 SubsetLike = Union[EdgeSubset, Iterable[int]]
+
+
+def mask_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative mask, ascending, in time linear in its width."""
+    return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
 
 
 def subset_mask(g: Multigraph, subset: SubsetLike) -> int:

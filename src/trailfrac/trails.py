@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Multigraph, SubsetLike, subset_mask
+from .graphs import Multigraph, SubsetLike, mask_indices, subset_mask
 
 ORACLE_MAX_EDGES = 8
 
@@ -38,14 +38,10 @@ def _edge_arrays(g: Multigraph) -> tuple[list[int], list[int]]:
     return [e.source for e in g.edges], [e.target for e in g.edges]
 
 
-def _mask_imbalances(src: list[int], dst: list[int], mask: int) -> dict[int, int]:
-    """Out-minus-in imbalance for every vertex touched by the mask."""
+def _imbalances(src: list[int], dst: list[int], idx: list[int]) -> dict[int, int]:
+    """Out-minus-in imbalance for every vertex touched by the listed edges."""
     imb: dict[int, int] = {}
-    mm = mask
-    while mm:
-        low = mm & -mm
-        mm ^= low
-        j = low.bit_length() - 1
+    for j in idx:
         s, t = src[j], dst[j]
         imb[s] = imb.get(s, 0) + 1
         imb[t] = imb.get(t, 0) - 1
@@ -69,9 +65,9 @@ def _balance_ok(imbalances: dict[int, int]) -> bool:
     return _balance_counts(imbalances) in ((0, 0), (1, 1))
 
 
-def _mask_connected(src: list[int], dst: list[int], mask: int) -> bool:
-    """True iff all edges in the mask lie in one weak component (nonempty mask)."""
-    if mask == 0:
+def _connected(src: list[int], dst: list[int], idx: list[int]) -> bool:
+    """True iff all listed edges lie in one weak component (nonempty list)."""
+    if not idx:
         return False
     parent: dict[int, int] = {}
 
@@ -82,11 +78,7 @@ def _mask_connected(src: list[int], dst: list[int], mask: int) -> bool:
         return x
 
     touched = merges = 0
-    mm = mask
-    while mm:
-        low = mm & -mm
-        mm ^= low
-        j = low.bit_length() - 1
+    for j in idx:
         for v in (src[j], dst[j]):
             if v not in parent:
                 parent[v] = v
@@ -98,19 +90,15 @@ def _mask_connected(src: list[int], dst: list[int], mask: int) -> bool:
     return touched - merges == 1
 
 
-def _hierholzer(src: list[int], dst: list[int], mask: int, imbalances: dict[int, int]) -> tuple[int, ...]:
-    """Order a feasible mask into a trail, extending by lowest edge index first.
+def _hierholzer(src: list[int], dst: list[int], idx: list[int], imbalances: dict[int, int]) -> tuple[int, ...]:
+    """Order a feasible ascending edge list into a trail, extending by lowest edge index first.
 
     Open trails start at the unique ``+1`` vertex; closed trails start at the
     source of the lowest-index member edge. The stack walk splices pending
     cycles so the full subset is consumed.
     """
     out: dict[int, list[int]] = {}
-    mm = mask
-    while mm:  # ascending bit order keeps adjacency lists index-sorted
-        low = mm & -mm
-        mm ^= low
-        j = low.bit_length() - 1
+    for j in idx:  # ascending order keeps adjacency lists index-sorted
         out.setdefault(src[j], []).append(j)
 
     start = None
@@ -119,7 +107,7 @@ def _hierholzer(src: list[int], dst: list[int], mask: int, imbalances: dict[int,
             start = v
             break
     if start is None:
-        start = src[(mask & -mask).bit_length() - 1]
+        start = src[idx[0]]
 
     ptr = dict.fromkeys(out, 0)
     vertex_stack = [start]
@@ -139,7 +127,7 @@ def _hierholzer(src: list[int], dst: list[int], mask: int, imbalances: dict[int,
             if edge_stack:
                 reversed_trail.append(edge_stack.pop())
     trail = tuple(reversed(reversed_trail))
-    assert len(trail) == mask.bit_count(), "feasibility checks should guarantee a full traversal"
+    assert len(trail) == len(idx), "feasibility checks should guarantee a full traversal"
     return trail
 
 
@@ -147,18 +135,21 @@ def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
     """Decide whether the subset can be ordered as a trail; build a witness if so.
 
     A subset failing both conditions reports ``disconnected``: scattered edges
-    are described by where they sit before how they point.
+    are described by where they sit before how they point. The member edges
+    are decoded from the mask once, in ascending order, so the cost is near
+    linear in ``m``.
     """
     mask = subset_mask(g, subset)
     if mask == 0:
         return TrailVerdict(False, None, FailureReason.EMPTY_SUBSET)
     src, dst = _edge_arrays(g)
-    if not _mask_connected(src, dst, mask):
+    idx = mask_indices(mask)
+    if not _connected(src, dst, idx):
         return TrailVerdict(False, None, FailureReason.DISCONNECTED)
-    imbalances = _mask_imbalances(src, dst, mask)
+    imbalances = _imbalances(src, dst, idx)
     if not _balance_ok(imbalances):
         return TrailVerdict(False, None, FailureReason.DEGREE_IMBALANCE)
-    return TrailVerdict(True, _hierholzer(src, dst, mask, imbalances), None)
+    return TrailVerdict(True, _hierholzer(src, dst, idx, imbalances), None)
 
 
 def witness_trail(g: Multigraph, subset: SubsetLike) -> tuple[int, ...] | None:
@@ -173,7 +164,7 @@ def oracle_is_trail(g: Multigraph, subset: SubsetLike) -> bool:
     :func:`is_trail`. Guarded to ``|T| <= 8``.
     """
     mask = subset_mask(g, subset)
-    indices = [i for i in range(g.m) if mask >> i & 1]
+    indices = mask_indices(mask)
     k = len(indices)
     if k > ORACLE_MAX_EDGES:
         raise ValueError(f"subset too large for the permutation oracle (|T|={k} > {ORACLE_MAX_EDGES})")
@@ -195,5 +186,5 @@ def necessary_balance_condition(g: Multigraph, subset: SubsetLike) -> bool:
     """Balance test every trail must pass: at most one vertex at +1, one at -1, none beyond."""
     mask = subset_mask(g, subset)
     src, dst = _edge_arrays(g)
-    counts = _balance_counts(_mask_imbalances(src, dst, mask))
+    counts = _balance_counts(_imbalances(src, dst, mask_indices(mask)))
     return counts is not None and max(counts) <= 1

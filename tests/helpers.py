@@ -93,6 +93,41 @@ def numpy_reference_d(g: Multigraph) -> int:
     return int(np.count_nonzero(lowest == highest))
 
 
+def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Greedy edge-increasing sequence by a linear scan for the next vertex.
+
+    The quadratic original of ``trailfrac.eis.greedy_eis``: each step scans
+    every live vertex for the fewest remaining edges (ties: lowest index).
+    Returns ``(vertices, fresh_edges, eliminated_per_step)``.
+    """
+    remaining: dict[int, set[int]] = {}
+    for i, (s, t) in enumerate(g.edges):
+        remaining.setdefault(s, set()).add(i)
+        remaining.setdefault(t, set()).add(i)
+
+    vertices: list[int] = []
+    fresh_edges: list[int] = []
+    eliminated: list[int] = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(remaining[u]), u))
+        dropped = remaining.pop(v)
+        vertices.append(v)
+        fresh_edges.append(min(dropped))
+        removed = 1
+        for e in dropped:
+            s, t = g.edges[e]
+            u = t if s == v else s
+            live = remaining.get(u)
+            if live is None:
+                continue
+            live.discard(e)
+            if not live:
+                del remaining[u]
+                removed += 1
+        eliminated.append(removed)
+    return tuple(vertices), tuple(fresh_edges), tuple(eliminated)
+
+
 def all_subsets(m: int):
     for mask in range(1 << m):
         yield mask, [i for i in range(m) if mask >> i & 1]

@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trailfrac import (
     Multigraph,
@@ -11,11 +14,52 @@ from trailfrac import (
     verify_eis,
 )
 
-from helpers import small_corpus
+from helpers import reference_greedy_eis, small_corpus
+
+# sha256 of repr((vertices, fresh_edges, eliminated_per_step)) of greedy_eis on
+# gen_random_multigraph(8000, 40_000, seed), recorded with the linear-scan
+# implementation now kept as helpers.reference_greedy_eis.
+GOLDEN_EIS_SHA256 = {
+    1: "16763e05c62790ee57c0ef37192eaa8a891bfe54b74ee450d1201b15e27341f2",
+    2: "c3b77ea1e08833134de6559d11b212fc6c2ec33ff79754509ceb126fdd57429a",
+}
 
 
 def non_isolated_count(g) -> int:
     return len({v for e in g.edges for v in e})
+
+
+def as_tuples(seq):
+    return seq.vertices, seq.fresh_edges, seq.eliminated_per_step
+
+
+@st.composite
+def multigraphs_with_ties(draw):
+    """n in 2..40 and m <= 150; edges drawn from a small pool of ordered pairs,
+    so parallel and antiparallel edges, isolated vertices and degree ties are
+    common."""
+    n = draw(st.integers(2, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pool = draw(st.lists(pair, min_size=1, max_size=12))
+    pool += [(t, s) for s, t in pool if draw(st.booleans())]
+    return Multigraph(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=150))))
+
+
+class TestReference:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs_with_ties())
+    def test_matches_linear_scan(self, g):
+        assert as_tuples(greedy_eis(g)) == reference_greedy_eis(g)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_linear_scan_large(self, seed):
+        g = gen_random_multigraph(2000, 10_000, seed=seed)
+        assert as_tuples(greedy_eis(g)) == reference_greedy_eis(g)
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_EIS_SHA256))
+    def test_golden_sequences(self, seed):
+        seq = greedy_eis(gen_random_multigraph(8000, 40_000, seed=seed))
+        assert hashlib.sha256(repr(as_tuples(seq)).encode()).hexdigest() == GOLDEN_EIS_SHA256[seed]
 
 
 class TestGreedy:

@@ -134,6 +134,17 @@ class TestEdgeSubset:
         assert list(s) == [0, 3]
         assert 3 in s and 1 not in s and 5 not in s
 
+    def test_empty_width(self):
+        s = EdgeSubset.from_indices([], 0)
+        assert s.mask == 0 and s.indices == ()
+
+    @given(st.sets(st.integers(0, 299)), st.integers(0, 70))
+    def test_indices_round_trip(self, chosen, spare):
+        width = max(chosen, default=-1) + 1 + spare
+        s = EdgeSubset.from_indices(sorted(chosen, reverse=True), width)
+        assert s.mask == sum(1 << i for i in chosen)
+        assert s.indices == tuple(sorted(chosen))
+
     def test_subset_mask_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
             subset_mask(gen_path(2), EdgeSubset(0b1, 3))

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,14 @@ from trailfrac import (
 
 from helpers import all_subsets, chains, perm_oracle, two_disjoint_two_cycles
 
+WALK_EDGES = 60_000
+# sha256 of repr(witness) for the whole walk below and for the walk without
+# edge 0, recorded before the bit decoding of is_trail became linear.
+GOLDEN_WALK_WITNESS_SHA256 = {
+    "closed": "47edddc06255adbfb4137b56876514f988d9cf2ce89394a99893691472d05998",
+    "open": "16d39988d1f2b9c5dc784ce4d6a1b84a5ce40f4ea2f21477c06b45157d3360b7",
+}
+
 
 @st.composite
 def graph_and_subset(draw, max_n=5, max_m=7):
@@ -29,6 +40,26 @@ def graph_and_subset(draw, max_n=5, max_m=7):
     g = Multigraph(n, tuple(edges))
     mask = draw(st.integers(0, (1 << m) - 1))
     return g, EdgeSubset(mask, m)
+
+
+def closed_walk(n: int, length: int, seed: int) -> Multigraph:
+    """A seeded random closed walk of ``length`` edges on ``n`` vertices, edges shuffled."""
+    rng = random.Random(seed)
+    walk = [rng.randrange(n)]
+    for i in range(1, length):
+        banned = {walk[-1], walk[0]} if i == length - 1 else {walk[-1]}
+        v = rng.randrange(n)
+        while v in banned:
+            v = rng.randrange(n)
+        walk.append(v)
+    edges = [(walk[i], walk[(i + 1) % length]) for i in range(length)]
+    rng.shuffle(edges)
+    return Multigraph(n, tuple(edges))
+
+
+@pytest.fixture(scope="module")
+def long_walk() -> Multigraph:
+    return closed_walk(2000, WALK_EDGES, seed=1)
 
 
 class TestIsTrail:
@@ -160,3 +191,24 @@ class TestOracleEquivalence:
         else:
             assert verdict.witness is None
             assert verdict.failure_reason is not None
+
+
+class TestLongWalk:
+    @pytest.mark.parametrize("kind,first", [("closed", 0), ("open", 1)])
+    def test_golden_witness(self, long_walk, kind, first):
+        verdict = is_trail(long_walk, range(first, WALK_EDGES))
+        assert verdict.is_trail
+        assert hashlib.sha256(repr(verdict.witness).encode()).hexdigest() == GOLDEN_WALK_WITNESS_SHA256[kind]
+
+    def test_disjoint_edge_disconnects(self, long_walk):
+        g = Multigraph(2002, long_walk.edges + ((2000, 2001),))
+        verdict = is_trail(g, range(WALK_EDGES + 1))
+        assert verdict.failure_reason is FailureReason.DISCONNECTED
+
+    def test_two_missing_edges_imbalance(self, long_walk):
+        # edges 0 and 1 share no endpoint, so dropping both leaves two +1 vertices
+        assert not set(long_walk.edges[0]) & set(long_walk.edges[1])
+        subset = EdgeSubset.from_indices(range(2, WALK_EDGES), WALK_EDGES)
+        verdict = is_trail(long_walk, subset)
+        assert verdict.failure_reason is FailureReason.DEGREE_IMBALANCE
+        assert not necessary_balance_condition(long_walk, subset)
