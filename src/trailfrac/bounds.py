@@ -16,6 +16,13 @@ from .counting import count_family_closed_form
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# Validation ranges of proof_ingredient_summary.
+_STIRLING_MAX = 5000
+_CENTRAL_MAX = 2000
+_WINDOW_MAX = 64
+_CASE2_MAX = 64
+_VANDERMONDE_MAX = 200
+
 
 def theorem_upper_bound(m: int) -> float:
     """The headline rate sqrt(log2(m) / m) for a graph with m edges.
@@ -200,13 +207,7 @@ def bound_report(m: int) -> BoundReport:
     return BoundReport(m=m, theorem_value=value)
 
 
-def proof_ingredient_summary(
-    stirling_max: int = 5000,
-    central_max: int = 2000,
-    window_max: int = 64,
-    case2_max: int = 64,
-    vandermonde_max: int = 200,
-) -> dict[str, bool]:
+def proof_ingredient_summary() -> dict[str, bool]:
     """Run every finite inequality over its full validation range.
 
     Stirling is compared against exact factorials in log space; the balance
@@ -214,7 +215,7 @@ def proof_ingredient_summary(
     """
     stirling_ok = True
     factorial = 1
-    for n in range(1, stirling_max + 1):
+    for n in range(1, _STIRLING_MAX + 1):
         factorial *= n
         log_fact = math.log(factorial)
         b = stirling_bounds(n)
@@ -222,10 +223,10 @@ def proof_ingredient_summary(
             stirling_ok = False
             break
 
-    central_ok = all(central_binomial_bound_check(c) for c in range(2, central_max + 1, 2))
+    central_ok = all(central_binomial_bound_check(c) for c in range(2, _CENTRAL_MAX + 1, 2))
 
     window_ok = True
-    for c in range(1, window_max + 1):
+    for c in range(1, _WINDOW_MAX + 1):
         cap = 3 * math.comb(c, c // 2)
         for j in range(-1, c + 2):
             if _window_numerator(c, j) > cap:
@@ -234,8 +235,8 @@ def proof_ingredient_summary(
         if not window_ok:
             break
 
-    case2_ok = all(case2_tail_bound_check(r).holds for r in range(2, case2_max + 1))
-    vandermonde_ok = all(vandermonde_identity_check(m) for m in range(2, vandermonde_max + 1, 2))
+    case2_ok = all(case2_tail_bound_check(r).holds for r in range(2, _CASE2_MAX + 1))
+    vandermonde_ok = all(vandermonde_identity_check(m) for m in range(2, _VANDERMONDE_MAX + 1, 2))
     return {
         "stirling_sandwich": stirling_ok,
         "central_binomial": central_ok,

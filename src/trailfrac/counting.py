@@ -24,8 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .graphs import Multigraph
-from .trails import _edge_arrays
+from .graphs import Multigraph, _edge_arrays
 
 # 25-27 ns per subset on the 30-edge two-vertex family (27-29 s), 37 ns on a
 # random 27-edge graph on 8 vertices, 116 ns on a near-regular 20-edge graph
@@ -35,9 +34,6 @@ ENUM_MAX_EDGES = 30
 
 # Edge bits plus vertex imbalances per kernel block.
 _BLOCK_CELLS = 1 << 21
-
-_SEED_MASK = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class CountReport:
@@ -189,6 +185,8 @@ def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[fl
     """Wilson score interval for a binomial proportion."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    if not 0 <= successes <= samples:
+        raise ValueError(f"successes must lie in [0, {samples}], got {successes}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     z = NormalDist().inv_cdf((1 + confidence) / 2)
@@ -207,17 +205,19 @@ def estimate_trail_fraction(
 
     Each sampled subset includes every edge independently with probability 1/2;
     the estimate is the fraction of sampled subsets that are trails. Results
-    are bit-identical for a fixed (seed, samples) pair.
+    are bit-identical for a fixed (seed, samples) pair; seeds lie in [0, 2^64).
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     m = g.m
     src, dst = _edge_arrays(g)
     words = max(1, -(-m // 64))
     block = _block_size(src, dst)
-    philox = np.random.Philox(key=seed & _SEED_MASK)
+    philox = np.random.Philox(key=seed)
     successes = 0
     for done in range(0, samples, block):
         raw = philox.random_raw(min(block, samples - done) * words).astype("<u8", copy=False)

@@ -5,6 +5,10 @@ position in the edge list, never by its endpoint pair, so parallel edges stay
 distinguishable and edge subsets are sets of positions. Self-loops are
 forbidden. All types here are immutable and all operations are pure, so
 values can be shared freely across workers.
+
+``trails`` and ``counting`` build on its ``_edge_arrays``, ``trails`` also on
+its ``_imbalances``. Each degree helper decodes its subset once, in time
+linear in ``m``.
 """
 
 from __future__ import annotations
@@ -170,36 +174,49 @@ class DegreeProfile:
         return sum(p[1] for p in self.pairs)
 
 
+def _edge_arrays(g: Multigraph) -> tuple[list[int], list[int]]:
+    return [e.source for e in g.edges], [e.target for e in g.edges]
+
+
+def _imbalances(src: list[int], dst: list[int], idx: Iterable[int]) -> dict[int, int]:
+    """Out-minus-in imbalance for every vertex touched by the listed edges."""
+    imb: dict[int, int] = {}
+    for j in idx:
+        s, t = src[j], dst[j]
+        imb[s] = imb.get(s, 0) + 1
+        imb[t] = imb.get(t, 0) - 1
+    return imb
+
+
+def _members(g: Multigraph, subset: SubsetLike | None) -> Iterable[int]:
+    """Ascending member edge indices of a subset (default: all edges), decoded once."""
+    return range(g.m) if subset is None else mask_indices(subset_mask(g, subset))
+
+
 def degree(g: Multigraph, v: int, subset: SubsetLike | None = None) -> Degree:
     """In-, out-, and total degree of ``v`` with respect to a subset (default: all edges)."""
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} out of range for n={g.vertex_count}")
-    mask = (1 << g.m) - 1 if subset is None else subset_mask(g, subset)
-    ins = outs = 0
-    for i, (s, t) in enumerate(g.edges):
-        if mask >> i & 1:
-            if t == v:
-                ins += 1
-            if s == v:
-                outs += 1
+    ins, outs = degree_profile(g, subset).pairs[v]
     return Degree(ins, outs, ins + outs)
 
 
 def degree_profile(g: Multigraph, subset: SubsetLike | None = None) -> DegreeProfile:
-    mask = (1 << g.m) - 1 if subset is None else subset_mask(g, subset)
     ins = [0] * g.vertex_count
     outs = [0] * g.vertex_count
-    for i, (s, t) in enumerate(g.edges):
-        if mask >> i & 1:
-            outs[s] += 1
-            ins[t] += 1
+    edges = g.edges
+    for i in _members(g, subset):
+        s, t = edges[i]
+        outs[s] += 1
+        ins[t] += 1
     return DegreeProfile(tuple(zip(ins, outs)))
 
 
 def imbalance_profile(g: Multigraph, subset: SubsetLike | None = None) -> tuple[int, ...]:
     """Per-vertex out-degree minus in-degree with respect to a subset; sums to zero."""
-    profile = degree_profile(g, subset)
-    return tuple(out - inn for inn, out in profile.pairs)
+    src, dst = _edge_arrays(g)
+    imb = _imbalances(src, dst, _members(g, subset))
+    return tuple(imb.get(v, 0) for v in range(g.vertex_count))
 
 
 def incident_edges(g: Multigraph, vertices: Iterable[int]) -> EdgeSubset:
@@ -208,8 +225,5 @@ def incident_edges(g: Multigraph, vertices: Iterable[int]) -> EdgeSubset:
     for v in vs:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"vertex {v} out of range for n={g.vertex_count}")
-    mask = 0
-    for i, (s, t) in enumerate(g.edges):
-        if s in vs or t in vs:
-            mask |= 1 << i
-    return EdgeSubset(mask, g.m)
+    hits = (i for i, (s, t) in enumerate(g.edges) if s in vs or t in vs)
+    return EdgeSubset.from_indices(hits, g.m)

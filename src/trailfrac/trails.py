@@ -5,7 +5,8 @@ component and the per-vertex imbalances (out minus in) are either all zero or
 exactly one ``+1`` and one ``-1``. :func:`is_trail` applies that
 characterization and constructs a witness; :func:`oracle_is_trail` is the
 brute-force ground truth that tries every ordering, kept deliberately naive so
-the fast path can be validated against it.
+the fast path can be validated against it. Edge arrays and imbalances come
+from ``graphs``, the one home of that arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Multigraph, SubsetLike, mask_indices, subset_mask
+from .graphs import Multigraph, SubsetLike, _edge_arrays, _imbalances, mask_indices, subset_mask
 
 ORACLE_MAX_EDGES = 8
 
@@ -34,20 +35,6 @@ class TrailVerdict:
     failure_reason: FailureReason | None = None
 
 
-def _edge_arrays(g: Multigraph) -> tuple[list[int], list[int]]:
-    return [e.source for e in g.edges], [e.target for e in g.edges]
-
-
-def _imbalances(src: list[int], dst: list[int], idx: list[int]) -> dict[int, int]:
-    """Out-minus-in imbalance for every vertex touched by the listed edges."""
-    imb: dict[int, int] = {}
-    for j in idx:
-        s, t = src[j], dst[j]
-        imb[s] = imb.get(s, 0) + 1
-        imb[t] = imb.get(t, 0) - 1
-    return imb
-
-
 def _balance_counts(imbalances: dict[int, int]) -> tuple[int, int] | None:
     """Numbers of vertices at +1 and at -1, or None when some |imbalance| > 1."""
     plus = minus = 0
@@ -59,10 +46,6 @@ def _balance_counts(imbalances: dict[int, int]) -> tuple[int, int] | None:
         elif x:
             return None
     return plus, minus
-
-
-def _balance_ok(imbalances: dict[int, int]) -> bool:
-    return _balance_counts(imbalances) in ((0, 0), (1, 1))
 
 
 def _connected(src: list[int], dst: list[int], idx: list[int]) -> bool:
@@ -147,7 +130,7 @@ def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
     if not _connected(src, dst, idx):
         return TrailVerdict(False, None, FailureReason.DISCONNECTED)
     imbalances = _imbalances(src, dst, idx)
-    if not _balance_ok(imbalances):
+    if _balance_counts(imbalances) not in ((0, 0), (1, 1)):
         return TrailVerdict(False, None, FailureReason.DEGREE_IMBALANCE)
     return TrailVerdict(True, _hierholzer(src, dst, idx, imbalances), None)
 

@@ -224,10 +224,8 @@ class TestBoundReport:
         assert report.ratio is None
 
 
-def test_proof_ingredient_summary_small_ranges():
-    summary = proof_ingredient_summary(
-        stirling_max=200, central_max=100, window_max=16, case2_max=16, vandermonde_max=40
-    )
+def test_proof_ingredient_summary_all_hold():
+    summary = proof_ingredient_summary()
     assert summary == {
         "stirling_sandwich": True,
         "central_binomial": True,

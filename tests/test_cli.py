@@ -142,6 +142,11 @@ class TestEstimate:
         assert code == 1
         assert "confidence" in err
 
+    def test_negative_seed_exits_1(self, capsys, family4_file):
+        code, _, err = run(capsys, ["estimate", family4_file, "--samples", "10", "--seed", "-1"])
+        assert code == 1
+        assert "seed must lie in [0, 2**64)" in err
+
 
 class TestEis:
     def test_star(self, capsys, tmp_path):

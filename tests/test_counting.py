@@ -338,9 +338,15 @@ class TestEstimate:
         assert a == b
         assert 0.0 <= a.estimate <= 1.0
 
-    def test_negative_seed_accepted_and_echoed(self):
-        report = estimate_trail_fraction(gen_family(4), samples=1000, seed=-12345)
-        assert report.seed == -12345
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            estimate_trail_fraction(gen_family(4), samples=1000, seed=seed)
+
+    def test_largest_seed_accepted_and_echoed(self):
+        seed = (1 << 64) - 1
+        report = estimate_trail_fraction(gen_family(4), samples=1000, seed=seed)
+        assert report.seed == seed
         assert 0.0 <= report.estimate <= 1.0
 
     def test_single_edge_interval_coverage_over_seeds(self):
@@ -392,6 +398,11 @@ class TestWilson:
         code = "import sys, trailfrac; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("successes", [-1, 11])
+    def test_successes_outside_samples_rejected(self, successes):
+        with pytest.raises(ValueError, match=r"successes must lie in \[0, 10\]"):
+            wilson_interval(successes, 10, 0.95)
 
     def test_width_shrinks_with_samples(self):
         widths = []

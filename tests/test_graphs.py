@@ -17,6 +17,12 @@ from trailfrac import (
     serialize_graph,
     subset_mask,
 )
+from helpers import (
+    reference_degree,
+    reference_degree_profile,
+    reference_imbalance_profile,
+    reference_incident_edges,
+)
 
 
 @st.composite
@@ -31,6 +37,21 @@ def multigraphs(draw, min_n=1, max_n=6, max_m=8):
         t = draw(st.integers(0, n - 2))
         edges.append(Edge(s, t + 1 if t >= s else t))
     return Multigraph(n, tuple(edges))
+
+
+@st.composite
+def wide_multigraphs(draw):
+    """Up to about 200 edges, often near a 64-bit word boundary, from a small pair pool.
+
+    The pool holds each drawn pair and its reverse, so parallel and
+    antiparallel edges are common; on up to 7 vertices, so are isolated ones.
+    """
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=1, max_size=3))
+    pool = [(s, (s + k) % n) for s, k in pairs]
+    pool += [(t, s) for s, t in pool]
+    m = draw(st.integers(0, 200) | st.sampled_from([63, 64, 65, 127, 128, 129, 191, 192, 193]))
+    return Multigraph(n, tuple(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))))
 
 
 @st.composite
@@ -219,3 +240,36 @@ class TestImbalance:
     def test_sums_to_zero(self, gs):
         g, subset = gs
         assert sum(imbalance_profile(g, subset)) == 0
+
+
+def _error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestAgainstBitScanOracles:
+    @given(wide_multigraphs(), st.data())
+    def test_helpers_match_oracles(self, g, data):
+        bits = data.draw(st.none() | st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        mask = None if bits is None else sum(1 << i for i, bit in enumerate(bits) if bit)
+        if mask is None or data.draw(st.booleans()):
+            subset = None if mask is None else EdgeSubset(mask, g.m)
+        else:
+            subset = data.draw(st.permutations([i for i, bit in enumerate(bits) if bit]))
+        assert degree_profile(g, subset).pairs == reference_degree_profile(g, mask)
+        assert imbalance_profile(g, subset) == reference_imbalance_profile(g, mask)
+        for v in range(g.vertex_count):
+            assert degree(g, v, subset) == reference_degree(g, v, mask)
+        vertices = data.draw(st.sets(st.integers(0, g.vertex_count - 1)))
+        assert incident_edges(g, vertices).mask == reference_incident_edges(g, vertices)
+        assert incident_edges(g, []).mask == reference_incident_edges(g, []) == 0
+
+    @given(wide_multigraphs(), st.data())
+    def test_out_of_range_vertex_errors_match(self, g, data):
+        bad = data.draw(st.sampled_from([-1, g.vertex_count]))
+        assert _error(lambda: degree(g, bad)) == _error(lambda: reference_degree(g, bad))
+        vertices = data.draw(st.sets(st.integers(0, g.vertex_count - 1))) | {bad}
+        assert _error(lambda: incident_edges(g, vertices)) == _error(
+            lambda: reference_incident_edges(g, vertices)
+        )
