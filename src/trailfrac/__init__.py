@@ -23,7 +23,7 @@ from .bounds import (
     vandermonde_identity_check,
 )
 from .counting import (
-    ENUM_MAX_EDGES,
+    EXACT_MAX_STATES,
     CountReport,
     EstimateReport,
     FamilyCount,
@@ -70,8 +70,8 @@ __all__ = [
     "Edge",
     "EdgeSubset",
     "EisSequence",
-    "ENUM_MAX_EDGES",
     "EstimateReport",
+    "EXACT_MAX_STATES",
     "FailureReason",
     "FamilyCount",
     "FamilyRatioRow",

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="cross-run the permutation oracle (|T| <= 8)")
     add_output(p)
 
-    p = sub.add_parser("count", help="exact d(G) and f(G) by enumeration (m <= 30)")
+    p = sub.add_parser("count", help="exact d(G) and f(G) by a frontier count (fails past a budget of live states)")
     p.add_argument("graph")
     add_output(p)
 

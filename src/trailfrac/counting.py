@@ -1,38 +1,51 @@
 """Exact and Monte Carlo computation of the trail fraction f(G) = d(G)/2^m.
 
-Both routes decide subsets with one kernel, ``_count_trails``, fed blocks of
-about ``_BLOCK_CELLS`` cells, so memory grows neither with 2^m nor with the
-number of samples. The kernel keeps the subsets whose vertex imbalances allow
-a trail and decides their connectivity together by label propagation, both
-with numpy row operations over the whole block. ``count_trails_exact`` feeds
-it all 2^m subsets as blocks of consecutive masks.
+``count_trails_exact`` runs a frontier dynamic program, the frontier-based
+search of Kawahara, Inoue, Iwashita and Minato (IEICE Trans. Fundamentals
+E100-A(9), 2017) and of Knuth's SIMPATH (TAOCP 4A, 7.1.4). Whether a subset
+is a trail depends only on its vertex imbalances and on which unordered
+vertex pairs it uses, so the edges between a pair form one class, decided
+in a single step with binomial weights. The classes are taken in a greedy
+vertex order that keeps the frontier, the vertices with both decided and
+undecided classes, small; a live state records what the undecided classes
+still need to know about the decided ones. Its cost grows with the number
+of live states, not with 2^m, and a budget of ``EXACT_MAX_STATES`` bounds
+it. Only the standard library runs on this path.
 
 ``estimate_trail_fraction`` draws subsets from m independent fair bits per
 sample. Sample ``i`` takes the ``ceil(m/64)`` Philox words at positions
 ``i*ceil(m/64)`` onward of the stream keyed by the seed, least significant
 word first, so estimates are reproducible for a fixed ``(seed, samples)``.
-The words are drawn and decided one block of samples at a time.
+The words are drawn and decided one block of about ``_BLOCK_CELLS`` cells
+at a time by ``_count_trails``, which keeps the subsets whose vertex
+imbalances allow a trail and decides their connectivity together by label
+propagation, both with numpy row operations over the whole block. numpy is
+imported inside these functions, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Multigraph, _edge_arrays
 
-# 25-27 ns per subset on the 30-edge two-vertex family (27-29 s), 37 ns on a
-# random 27-edge graph on 8 vertices, 116 ns on a near-regular 20-edge graph
-# on 5 vertices whose 11% balanced subsets all go through the batched
-# connectivity test (2-vCPU Xeon VM, Python 3.11, numpy 2.4.6).
-ENUM_MAX_EDGES = 30
+if TYPE_CHECKING:
+    import numpy as np
 
-# Edge bits plus vertex imbalances per kernel block.
+# Live frontier states allowed after any step of the exact count. The densest
+# graph tried, gen_random_multigraph(8, 80, 1), peaks at 1.3e5 states and
+# takes 6.6 s and 92 MB; gen_random_multigraph(16, 40, 1) peaks at 1.1e3
+# states in 0.06 s (2-vCPU Xeon VM, Python 3.11).
+EXACT_MAX_STATES = 200_000
+
+# Edge bits plus vertex imbalances per estimator block.
 _BLOCK_CELLS = 1 << 21
 
 @dataclass(frozen=True)
@@ -96,6 +109,8 @@ def _count_trails(src: list[int], dst: list[int], bits: np.ndarray) -> int:
     one contiguous row add and subtract per edge. The balanced nonempty
     columns then get one batched connectivity test, ``_connected_columns``.
     """
+    import numpy as np
+
     m = len(src)
     if m == 0:
         return 0
@@ -123,6 +138,8 @@ def _connected_columns(ends: np.ndarray, n: int, bits: np.ndarray) -> np.ndarray
     each touched vertex carries the least vertex of its component, and a column
     is connected iff exactly one touched vertex is its own label.
     """
+    import numpy as np
+
     m, cols = bits.shape
     present = bits.view(bool)
     # Labels stay below n, so the smallest type holding n - 1 cannot wrap.
@@ -143,27 +160,195 @@ def _connected_columns(ends: np.ndarray, n: int, bits: np.ndarray) -> np.ndarray
     return np.count_nonzero(roots, axis=0) == 1
 
 
-def count_trails_exact(g: Multigraph) -> CountReport:
-    """Exact d(G) and f(G) by deciding all 2^m subsets in blocks of consecutive masks.
+def _frontier_order(adj: dict[int, set[int]]) -> list[int]:
+    """The vertices of ``adj`` in greedy min-frontier order.
 
-    A block of ``2^k`` masks shares its high ``m - k`` bits; its low ``k`` bits
-    run through every pattern, which is built once and reused by every block.
-    Raises ``ValueError`` when m exceeds ``ENUM_MAX_EDGES``.
+    The frontier is the placed vertices that still have an unplaced
+    neighbour. Each pick is the unplaced neighbour of the frontier whose
+    placing leaves the frontier smallest: it joins unless all its neighbours
+    are placed, and each frontier vertex whose last unplaced neighbour it is
+    leaves (ties: fewer unplaced neighbours, then lowest index). A vertex of
+    least degree starts each weak component. Picks come from a heap with lazy
+    deletion; a vertex's key only falls, so its current entry pops before
+    its stale ones, and the whole order costs O((n + m) log n).
     """
-    m = g.m
-    if m > ENUM_MAX_EDGES:
-        raise ValueError(f"m={m} too large for exact enumeration (max {ENUM_MAX_EDGES})")
+    unplaced = {v: len(nbrs) for v, nbrs in adj.items()}
+    leaving = dict.fromkeys(adj, 0)
+    placed: set[int] = set()
+    order: list[int] = []
+
+    def key(v: int) -> tuple[int, int, int]:
+        return ((unplaced[v] > 0) - leaving[v], unplaced[v], v)
+
+    for start in sorted(adj, key=lambda v: (len(adj[v]), v)):
+        heap = [] if start in placed else [key(start)]
+        while heap:
+            entry = heapq.heappop(heap)
+            v = entry[2]
+            if v in placed or entry != key(v):
+                continue
+            placed.add(v)
+            order.append(v)
+            changed = set()
+            for u in adj[v]:
+                unplaced[u] -= 1
+                if u not in placed:
+                    changed.add(u)
+            for u in adj[v] | {v}:
+                if u in placed and unplaced[u] == 1:
+                    w = next(w for w in adj[u] if w not in placed)
+                    leaving[w] += 1
+                    changed.add(w)
+            for u in changed:
+                heapq.heappush(heap, key(u))
+    return order
+
+
+def _canonical(labels: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """Renumber component labels 1, 2, ... in order of first appearance; 0 stays 0."""
+    seen = {0: 0}
+    return tuple(seen.setdefault(label, len(seen)) for label in labels)
+
+
+def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int, int, int, int]) -> dict:
+    """Decide the class of ``a`` edges u->v and ``b`` edges v->u for every live state.
+
+    u and v sit at frontier positions ``pu`` and ``pv``; ``rest`` holds the
+    out- and in-edges of u and of v still undecided after this class. A
+    choice of i forward and j backward edges shifts u's imbalance by
+    k = i - j and v's by -k; by Vandermonde, C(a + b, b + k) choices share
+    each k, one fewer for k = 0, whose empty choice changes nothing.
+    """
+    ou, nu, ov, nv = rest
+    ou0, nu0, ov0, nv0 = ou + a, nu + b, ov + b, nv + a
+    weights = [1] * (a + b + 1)
+    for t in range(a + b):
+        weights[t + 1] = weights[t] * (a + b - t) // (t + 1)
+    weights[b] -= 1
+    merged: dict[tuple[int, ...], tuple[int, ...]] = {}
+    new: dict = {}
+    for (imbs, labels, plus, minus), w in states.items():
+        iu, iv = imbs[pu], imbs[pv]
+        # Undecided edges must still be able to bring both imbalances into [-1, 1].
+        lo = max(-b, -1 - ou - iu, iv - 1 - nv)
+        hi = min(a, 1 + nu - iu, iv + 1 + ov)
+        if lo > hi:
+            continue
+        # Take u and v out of the bound-end counts; each choice below puts
+        # them back as their new imbalance and undecided edges leave them.
+        plus -= (iu - nu0 >= 1) + (iv - nv0 >= 1)
+        minus -= (iu + ou0 <= -1) + (iv + ov0 <= -1)
+        nl = merged.get(labels)
+        if nl is None:
+            lu, lv = labels[pu], labels[pv]
+            keep = lu or lv or max(labels) + 1
+            joined = [keep if x and x in (lu, lv) else x for x in labels]
+            joined[pu] = joined[pv] = keep
+            nl = merged[labels] = _canonical(joined)
+        shifted = list(imbs)
+        for k in range(lo, hi + 1):
+            ju, jv = iu + k, iv - k
+            p = plus + (ju - nu >= 1) + (jv - nv >= 1)
+            q = minus + (ju + ou <= -1) + (jv + ov <= -1)
+            if p > 1 or q > 1:
+                continue
+            if k == 0:
+                key = (imbs, labels, p, q)
+                new[key] = new.get(key, 0) + w
+            if weights[b + k]:
+                shifted[pu], shifted[pv] = ju, jv
+                key = (tuple(shifted), nl, p, q)
+                new[key] = new.get(key, 0) + w * weights[b + k]
+        if len(new) > EXACT_MAX_STATES:
+            raise ValueError(
+                f"exact count stopped at {len(new)} live frontier states, over the budget of "
+                f"{EXACT_MAX_STATES}; estimate f(G) instead (trailfrac estimate)"
+            )
+    return new
+
+
+def _retire(states: dict, p: int) -> tuple[dict, int]:
+    """Drop the vertex at frontier position ``p``, whose classes are all decided.
+
+    Its imbalance already lies in [-1, 1] and is counted among the bound
+    ends. Returns the surviving states and the weight of the subsets
+    completed here: when the vertex was its component's last frontier
+    vertex, the component is finished, so the state ends as a trail if no
+    other frontier vertex is touched and its +1 and -1 ends pair up, and is
+    dropped otherwise.
+    """
+    new: dict = {}
+    done = 0
+    fate: dict[tuple[int, ...], tuple[tuple[int, ...] | None, bool]] = {}
+    for (imbs, labels, plus, minus), w in states.items():
+        if labels not in fate:
+            rest = labels[:p] + labels[p + 1 :]
+            if labels[p] and labels[p] not in rest:
+                fate[labels] = (None, not any(rest))
+            else:
+                fate[labels] = (_canonical(rest), False)
+        rest, alone = fate[labels]
+        if rest is None:
+            if alone and plus == minus:
+                done += w
+            continue
+        key = (imbs[:p] + imbs[p + 1 :], rest, plus, minus)
+        new[key] = new.get(key, 0) + w
+    return new, done
+
+
+def count_trails_exact(g: Multigraph) -> CountReport:
+    """Exact d(G) and f(G) by a frontier dynamic program over unordered vertex pairs.
+
+    The edges between each pair of vertices form one class, decided in one
+    step; a vertex enters the frontier when the vertex order of
+    ``_frontier_order`` reaches it and leaves after its last class. A state
+    holds, for each frontier vertex, its imbalance and a canonical component
+    label (0 for untouched), plus the number of vertices bound to end at +1
+    and at -1 (at most one each): left at that imbalance, or unable to get
+    back with their undecided edges. It carries the number of subsets of the
+    decided edges that reach it. A state is dropped once some
+    imbalance cannot return to [-1, 1]. When a component loses its last
+    frontier vertex, the subsets of that state that take no further edge are
+    trails exactly when no other frontier vertex is touched and the +1 and -1
+    counts match. Isolated vertices never enter the frontier. The vertex
+    order changes the run time, never d.
+
+    Raises ``ValueError`` when more than ``EXACT_MAX_STATES`` states are live.
+    """
     start = time.perf_counter()
-    src, dst = _edge_arrays(g)
-    k = min(m, _block_size(src, dst).bit_length() - 1)
-    bits = np.empty((m, 1 << k), dtype=np.uint8)
-    bits[:k] = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    classes: dict[tuple[int, int], list[int]] = {}
+    adj: dict[int, set[int]] = {}
+    # Undecided out- and in-edges of each vertex.
+    outs: Counter[int] = Counter()
+    ins: Counter[int] = Counter()
+    for s, t in g.edges:
+        classes.setdefault((min(s, t), max(s, t)), [0, 0])[s > t] += 1
+        adj.setdefault(s, set()).add(t)
+        adj.setdefault(t, set()).add(s)
+        outs[s] += 1
+        ins[t] += 1
+    frontier: list[int] = []
+    states: dict = {((), (), 0, 0): 1}
     d = 0
-    for high in range(1 << (m - k)):
-        bits[k:] = (high >> np.arange(m - k)[:, None]) & 1
-        d += _count_trails(src, dst, bits)
+    for x in _frontier_order(adj):
+        states = {(imbs + (0,), labels + (0,), p, q): w for (imbs, labels, p, q), w in states.items()}
+        frontier.append(x)
+        for pu, u in enumerate(frontier[:-1]):
+            if u in adj[x]:
+                a, b = classes[(u, x)] if u < x else classes[(x, u)][::-1]
+                outs[u] -= a
+                ins[u] -= b
+                outs[x] -= b
+                ins[x] -= a
+                rest = (outs[u], ins[u], outs[x], ins[x])
+                states = _take_class(states, pu, len(frontier) - 1, a, b, rest)
+        for v in [v for v in frontier if outs[v] == ins[v] == 0]:
+            states, done = _retire(states, frontier.index(v))
+            frontier.remove(v)
+            d += done
     elapsed = time.perf_counter() - start
-    return CountReport(m=m, d=d, f=Fraction(d, 1 << m), elapsed=elapsed)
+    return CountReport(m=g.m, d=d, f=Fraction(d, 1 << g.m), elapsed=elapsed)
 
 
 def count_family_closed_form(m: int) -> FamilyCount:
@@ -213,6 +398,8 @@ def estimate_trail_fraction(
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    import numpy as np
+
     m = g.m
     src, dst = _edge_arrays(g)
     words = max(1, -(-m // 64))

@@ -36,9 +36,15 @@ class Multigraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        edges = self.edges
+        if type(edges) is not tuple or set(map(type, edges)) - {Edge}:
+            edges = tuple(Edge(*e) for e in edges)
+            object.__setattr__(self, "edges", edges)
         n = self.vertex_count
-        for i, (s, t) in enumerate(self.edges):
+        if all(0 <= s < n and 0 <= t < n and s != t for s, t in edges):
+            return
+        # Find the first offending edge for the message.
+        for i, (s, t) in enumerate(edges):
             if not (0 <= s < n) or not (0 <= t < n):
                 raise ValueError(f"edge {i}: endpoint ({s}, {t}) out of range for n={n}")
             if s == t:

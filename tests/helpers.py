@@ -1,7 +1,9 @@
 """Shared test oracles and corpus builders.
 
 The oracles here are deliberately self-contained (no imports from the
-library's decision logic) so tests compare two independent routes.
+library's decision logic) so tests compare two independent routes. The one
+exception is ``enumerate_d``, which drives the estimator's numpy kernel over
+every subset: it shares no code with the frontier count it checks.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import itertools
 import numpy as np
 
 from trailfrac import Multigraph, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
+from trailfrac.counting import _block_size, _count_trails
+from trailfrac.graphs import _edge_arrays
 
 
 def perm_oracle(g: Multigraph, indices) -> bool:
@@ -48,6 +52,25 @@ def brute_force_d(g: Multigraph) -> int:
         if perm_oracle(g, subset):
             count += 1
     return count
+
+
+def enumerate_d(g: Multigraph) -> int:
+    """d(G) by deciding all 2^m subsets in blocks of consecutive masks with ``counting._count_trails``.
+
+    A block of ``2^k`` masks shares its high ``m - k`` bits; its low ``k`` bits
+    run through every pattern, which is built once and reused by every block.
+    Block size follows ``counting._BLOCK_CELLS``. Practical up to m = 24 or so.
+    """
+    m = g.m
+    src, dst = _edge_arrays(g)
+    k = min(m, _block_size(src, dst).bit_length() - 1)
+    bits = np.empty((m, 1 << k), dtype=np.uint8)
+    bits[:k] = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    d = 0
+    for high in range(1 << (m - k)):
+        bits[k:] = (high >> np.arange(m - k)[:, None]) & 1
+        d += _count_trails(src, dst, bits)
+    return d
 
 
 def numpy_reference_d(g: Multigraph) -> int:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from trailfrac import gen_family, parse_graph, serialize_graph
+import trailfrac
+from trailfrac import gen_family, gen_random_multigraph, parse_graph, serialize_graph
 from trailfrac.cli import main
 
 from helpers import two_disjoint_two_cycles
@@ -113,12 +118,17 @@ class TestCount:
         assert payload["f_decimal"] == 0.8125
         assert list(payload) == ["m", "d", "f", "f_decimal", "elapsed"]
 
-    def test_too_many_edges_exits_1(self, capsys, tmp_path):
+    def test_over_state_budget_exits_1(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "big.txt"
-        path.write_text("2 31\n" + "0 1\n" * 31)
-        code, _, err = run(capsys, ["count", str(path)])
+        path.write_text(serialize_graph(gen_random_multigraph(8, 40, seed=2)))
+        code, out, _ = run(capsys, ["count", str(path)])
+        assert code == 0
+        assert json.loads(out)["m"] == 40
+        monkeypatch.setattr(trailfrac.counting, "EXACT_MAX_STATES", 50)
+        code, out, err = run(capsys, ["count", str(path)])
         assert code == 1
-        assert "too large" in err
+        assert out == ""
+        assert "live frontier states" in err and "estimate" in err
 
 
 class TestEstimate:
@@ -225,3 +235,28 @@ class TestDispatch:
         code, out, _ = run(capsys, ["check", str(path), "--subset", "0,1,2,3", "--format", "text"])
         assert code == 0
         assert out == "not a trail: disconnected\n"
+
+
+class TestImports:
+    def test_only_estimate_loads_numpy(self, tmp_path, family4_file):
+        src = str(Path(trailfrac.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        calls = [
+            ["count", family4_file],
+            ["check", family4_file, "--subset", "0,2", "--witness"],
+            ["eis", family4_file],
+            ["bounds", "--m", "64"],
+            ["scan", "--m-min", "4", "--m-max", "40"],
+            ["estimate", family4_file, "--samples", "100", "--seed", "1"],
+        ]
+        code = (
+            "import json, sys, trailfrac\n"
+            "from trailfrac.cli import main\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            f"for argv in {calls!r}:\n"
+            f"    assert main(argv + ['--out', {str(tmp_path / 'out.txt')!r}]) == 0\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps(loaded))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == [False] * 6 + [True]

@@ -27,7 +27,7 @@ from trailfrac import (
 )
 from trailfrac.counting import _connected_columns, _count_trails
 
-from helpers import brute_force_d, numpy_reference_d, small_corpus, two_disjoint_two_cycles
+from helpers import brute_force_d, enumerate_d, numpy_reference_d, small_corpus, two_disjoint_two_cycles
 
 
 @st.composite
@@ -40,6 +40,18 @@ def multigraphs_with_parallels(draw):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pool = draw(st.lists(pair, min_size=1, max_size=6))
     return Multigraph(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=12))))
+
+
+@st.composite
+def multigraphs_with_pair_classes(draw):
+    """n in 2..10 and m <= 18; each edge runs either way along one of a few
+    unordered pairs, so parallel and antiparallel edges are common and some
+    vertices stay isolated."""
+    n = draw(st.integers(2, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pool = draw(st.lists(pair, min_size=1, max_size=7))
+    edge = st.sampled_from(pool).flatmap(lambda p: st.sampled_from([p, p[::-1]]))
+    return Multigraph(n, tuple(draw(st.lists(edge, max_size=18))))
 
 
 @st.composite
@@ -110,12 +122,22 @@ class TestExactCount:
         graphs = [gen_family(10), two_disjoint_two_cycles(), gen_random_multigraph(5, 12, seed=4)]
         want = [count_trails_exact(g).d for g in graphs]
         monkeypatch.setattr(trailfrac.counting, "_BLOCK_CELLS", 40)
-        assert [count_trails_exact(g).d for g in graphs] == want
+        assert [enumerate_d(g) for g in graphs] == want
 
     @settings(max_examples=200, deadline=None)
     @given(multigraphs_with_parallels())
     def test_matches_numpy_reference(self, g):
         assert count_trails_exact(g).d == numpy_reference_d(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multigraphs_with_pair_classes())
+    def test_matches_enumeration(self, g):
+        assert count_trails_exact(g).d == enumerate_d(g)
+
+    # Recorded with the block enumeration before the frontier count replaced it.
+    @pytest.mark.parametrize("n,m,seed,d", [(6, 24, 5, 40694), (9, 26, 11, 26479)])
+    def test_golden_counts(self, n, m, seed, d):
+        assert count_trails_exact(gen_random_multigraph(n, m, seed)).d == d
 
     @pytest.mark.parametrize(
         "make,d", [(gen_path, 24 * 25 // 2), (gen_cycle, 24 * 23 + 1)], ids=["path", "cycle"]
@@ -125,11 +147,34 @@ class TestExactCount:
         # on the cycle plus the whole cycle. Listing the edges backwards makes
         # each label propagation sweep move a label only one edge along the chain.
         g = make(24)
-        assert count_trails_exact(Multigraph(g.vertex_count, g.edges[::-1])).d == d
+        assert enumerate_d(Multigraph(g.vertex_count, g.edges[::-1])) == d
 
-    def test_enumeration_cap(self):
-        g = gen_random_multigraph(6, 31, seed=2)
-        with pytest.raises(ValueError, match="too large"):
+    @pytest.mark.parametrize(
+        "g,d",
+        [
+            (gen_family(200), count_family_closed_form(200).total),
+            (gen_family(2000), count_family_closed_form(2000).total),
+            (Multigraph(301, gen_path(300).edges[::-1]), 300 * 301 // 2),
+            (Multigraph(300, gen_cycle(300).edges[::-1]), 300 * 299 + 1),
+        ],
+        ids=["family200", "family2000", "path300", "cycle300"],
+    )
+    def test_closed_forms_past_old_cap(self, g, d):
+        assert count_trails_exact(g).d == d
+
+    @pytest.mark.parametrize("n,m,seed", [(3, 36, 2), (4, 40, 3), (5, 40, 1)])
+    def test_estimator_agrees_past_old_cap(self, n, m, seed):
+        g = gen_random_multigraph(n, m, seed)
+        f = float(count_trails_exact(g).f)
+        samples = 100_000
+        estimate = estimate_trail_fraction(g, samples, seed=11).estimate
+        assert abs(estimate - f) <= 5 * (f * (1 - f) / samples) ** 0.5
+
+    def test_state_budget(self, monkeypatch):
+        g = gen_random_multigraph(8, 40, seed=2)
+        assert count_trails_exact(g).m == 40
+        monkeypatch.setattr(trailfrac.counting, "EXACT_MAX_STATES", 50)
+        with pytest.raises(ValueError, match=r"stopped at \d+ live frontier states.*estimate"):
             count_trails_exact(g)
 
     def test_json_fields(self):

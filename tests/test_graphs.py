@@ -133,6 +133,27 @@ class TestMultigraphInvariants:
         with pytest.raises(ValueError):
             Multigraph(-1, ())
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ((Edge(0, 1), Edge(1, 5), Edge(2, 2)), "edge 1: endpoint (1, 5) out of range for n=3"),
+            ([(0, 1), (2, 2), (0, 7)], "edge 1: self-loop at vertex 2 is forbidden"),
+            ([[0, 1], [-1, 2]], "edge 1: endpoint (-1, 2) out of range for n=3"),
+        ],
+    )
+    def test_names_first_offending_edge(self, edges, message):
+        with pytest.raises(ValueError) as info:
+            Multigraph(3, edges)
+        assert str(info.value) == message
+
+    def test_edges_become_an_edge_tuple(self):
+        edges = (Edge(0, 1), Edge(1, 2))
+        assert Multigraph(3, edges).edges is edges
+        for given in ([(0, 1), (1, 2)], ((0, 1), Edge(1, 2)), [[0, 1], [1, 2]]):
+            g = Multigraph(3, given)
+            assert g.edges == edges
+            assert type(g.edges) is tuple and all(type(e) is Edge for e in g.edges)
+
 
 class TestEdgeSubset:
     def test_duplicate_indices_rejected(self):
