@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import counting, eis, generators, trails
-from .graphs import parse_graph, serialize_graph
+from .graphs import _decimal_ints, parse_graph, serialize_graph
 
 
 def _load_graph(path: str):
@@ -26,9 +26,9 @@ def _parse_subset_arg(text: str) -> list[int]:
     if not text:
         return []
     try:
-        return [int(tok) for tok in text.split(",")]
+        return _decimal_ints(tok.strip() for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"invalid --subset value {text!r}: expected comma-separated integers") from None
+        raise ValueError(f"invalid --subset value {text!r}: expected comma-separated unsigned decimal integers") from None
 
 
 def _cell(value) -> str:
@@ -50,11 +50,19 @@ def _csv_of(payload) -> str:
 
 
 def _render(payload, fmt: str, text_fn) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_of(payload)
-    return text_fn(payload)
+    # Exact counts pass the interpreter's limit on int-to-str digits (4300 by
+    # default) once m exceeds about 14 280. The limit is lifted only while the
+    # output is written: parsing the input relies on it to reject huge numerals.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            return json.dumps(payload, indent=2) + "\n"
+        if fmt == "csv":
+            return _csv_of(payload)
+        return text_fn(payload)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_check(args) -> str:

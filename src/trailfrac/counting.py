@@ -16,11 +16,12 @@ it. Only the standard library runs on this path.
 sample. Sample ``i`` takes the ``ceil(m/64)`` Philox words at positions
 ``i*ceil(m/64)`` onward of the stream keyed by the seed, least significant
 word first, so estimates are reproducible for a fixed ``(seed, samples)``.
-The words are drawn and decided one block of about ``_BLOCK_CELLS`` cells
-at a time by ``_count_trails``, which keeps the subsets whose vertex
-imbalances allow a trail and decides their connectivity together by label
-propagation, both with numpy row operations over the whole block. numpy is
-imported inside these functions, so importing the package does not load it.
+The words are drawn one block of about ``_BLOCK_CELLS`` bytes at a time and
+decided as drawn, one column of words per sample, by ``_trail_kernel``: a
+popcount balance filter visits the vertices from the highest degree down and
+drops each column at its first vertex whose imbalance rules out a trail, and
+the few columns left get a bitset connectivity test. numpy is imported
+inside these functions, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from statistics import NormalDist
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .graphs import Multigraph, _edge_arrays
 
@@ -45,7 +48,7 @@ if TYPE_CHECKING:
 # states in 0.06 s (2-vCPU Xeon VM, Python 3.11).
 EXACT_MAX_STATES = 200_000
 
-# Edge bits plus vertex imbalances per estimator block.
+# Bytes of packed Philox words per estimator block.
 _BLOCK_CELLS = 1 << 21
 
 @dataclass(frozen=True)
@@ -58,10 +61,12 @@ class CountReport:
     elapsed: float
 
     def to_json_dict(self) -> dict:
+        # Decimal writes ints of any length; str(int) stops at the
+        # interpreter's int-to-str digit limit, which d passes from m = 14 280.
         return {
             "m": self.m,
             "d": self.d,
-            "f": f"{self.d}/{1 << self.m}",
+            "f": f"{Decimal(self.d)}/{Decimal(1 << self.m)}",
             "f_decimal": self.d / (1 << self.m),
             "elapsed": self.elapsed,
         }
@@ -98,66 +103,92 @@ class FamilyCount:
 
 
 def _block_size(src: list[int], dst: list[int]) -> int:
-    """Subsets per kernel block: about ``_BLOCK_CELLS`` edge bits and imbalances in all."""
-    return max(1, _BLOCK_CELLS // max(1, len(src) + len({*src, *dst})))
+    """Subsets per kernel block: about ``_BLOCK_CELLS`` bytes of packed words in all."""
+    return max(1, _BLOCK_CELLS // (8 * max(1, -(-len(src) // 64))))
 
 
-def _count_trails(src: list[int], dst: list[int], bits: np.ndarray) -> int:
-    """How many columns of the 0/1 block are trails; row j holds edge j's bits.
+def _trail_kernel(src: list[int], dst: list[int]) -> Callable[[np.ndarray], int]:
+    """The batched trail decision for the graph with edges ``src[j] -> dst[j]``.
 
-    Imbalances are summed vertex-major over the vertices some edge touches,
-    one contiguous row add and subtract per edge. The balanced nonempty
-    columns then get one batched connectivity test, ``_connected_columns``.
+    Returns ``count_trails(words)``, which takes a ``(W, B)`` uint64 block with
+    W = ceil(m/64) (at least 1) whose column ``c`` is one subset: bit ``j % 64``
+    of ``words[j // 64, c]`` is edge ``j``. It clears the bits at or above m
+    of the last row in place and returns how many columns are trails.
+
+    Each touched vertex gets one (word, out-mask, in-mask) entry per word its
+    edges use, and the vertices are taken in descending degree order (ties:
+    lowest index), so most columns fail early. The balance filter adds up each
+    vertex's imbalance, the popcount of its out-edges minus that of its
+    in-edges, and then drops the columns with |imbalance| > 1 or with more than
+    two nonzero imbalances so far; it stops when no column is left. The
+    nonempty survivors then grow a set of reached edges from their lowest
+    edge: a vertex that a reached edge touches reaches all its present edges,
+    in sweeps over the vertices until a sweep changes nothing, and a column is
+    connected iff it reaches all its edges. Self-loops are forbidden, so two
+    weak components need four vertices, and with at most three touched vertices
+    every balanced nonempty column is a trail.
     """
     import numpy as np
 
     m = len(src)
-    if m == 0:
-        return 0
-    touched, ends = np.unique(src + dst, return_inverse=True)
-    # Each vertex imbalance lies in [-m, m]; int8 would wrap from m = 128 on.
-    imb = np.zeros((touched.size, bits.shape[1]), dtype=np.int8 if m < 128 else np.int32)
-    signed = bits.view(np.int8)
-    for j in range(m):
-        imb[ends[j]] += signed[j]
-        imb[ends[m + j]] -= signed[j]
-    balanced = (np.abs(imb).max(axis=0) <= 1) & (np.count_nonzero(imb, axis=0) <= 2) & bits.any(axis=0)
-    # Self-loops are forbidden, so two weak components need four vertices.
-    if touched.size <= 3 or not balanced.any():
-        return int(np.count_nonzero(balanced))
-    return int(np.count_nonzero(_connected_columns(ends, touched.size, bits[:, balanced])))
+    masks: dict[int, dict[int, list[int]]] = {}
+    for j, (s, t) in enumerate(zip(src, dst)):
+        bit = 1 << (j & 63)
+        masks.setdefault(s, {}).setdefault(j >> 6, [0, 0])[0] |= bit
+        masks.setdefault(t, {}).setdefault(j >> 6, [0, 0])[1] |= bit
+    degree = Counter(src) + Counter(dst)
+    plan = [
+        [(w, out, inn) for w, (out, inn) in sorted(masks[v].items())]
+        for v in sorted(masks, key=lambda v: (-degree[v], v))
+    ]
+    # The smallest signed type that holds every vertex imbalance, which lies
+    # in [-degree, degree], and the negation of each.
+    imb_type = np.min_scalar_type(-max(degree.values(), default=0) - 1)
+    spare = np.uint64((1 << (m & 63)) - 1)
 
+    def count_trails(words: np.ndarray) -> int:
+        if m == 0:
+            return 0
+        if m & 63:
+            words[-1] &= spare
+        nonzero = np.zeros(words.shape[1], dtype=np.int8)
+        for entries in plan:
+            imb = reduce(
+                np.add,
+                (
+                    np.subtract(np.bitwise_count(words[w] & out), np.bitwise_count(words[w] & inn), dtype=imb_type)
+                    for w, out, inn in entries
+                ),
+            )
+            nonzero += imb != 0
+            keep = np.flatnonzero((np.abs(imb) <= 1) & (nonzero <= 2))
+            if keep.size < nonzero.size:
+                words = words.take(keep, axis=1)
+                nonzero = nonzero.take(keep)
+            if not keep.size:
+                return 0
+        words = words.take(np.flatnonzero(words.any(axis=0)), axis=1)
+        if len(plan) <= 3 or not words.shape[1]:
+            return words.shape[1]
+        # Each column starts from the lowest set bit of its first nonzero word.
+        cols = np.arange(words.shape[1])
+        first = (words != 0).argmax(axis=0)
+        low = words[first, cols]
+        reached = np.zeros_like(words)
+        reached[first, cols] = low & (~low + 1)
+        while True:
+            before = reached.copy()
+            for entries in plan:
+                hit = np.zeros(words.shape[1], dtype=bool)
+                for w, out, inn in entries:
+                    hit |= (reached[w] & (out | inn)) != 0
+                for w, out, inn in entries:
+                    np.bitwise_or(reached[w], words[w] & (out | inn), out=reached[w], where=hit)
+            if np.array_equal(before, reached):
+                break
+        return int(np.count_nonzero((reached == words).all(axis=0)))
 
-def _connected_columns(ends: np.ndarray, n: int, bits: np.ndarray) -> np.ndarray:
-    """Which columns of the 0/1 block are nonempty with all edges in one weak component.
-
-    Edge j runs between vertices ``ends[j]`` and ``ends[m + j]`` of ``0..n-1``.
-    Every vertex starts labelled with its own number; each present edge lowers
-    both endpoint labels to their minimum, one vertex-major row operation per
-    edge, in sweeps over the edges in order until no label changes. Then
-    each touched vertex carries the least vertex of its component, and a column
-    is connected iff exactly one touched vertex is its own label.
-    """
-    import numpy as np
-
-    m, cols = bits.shape
-    present = bits.view(bool)
-    # Labels stay below n, so the smallest type holding n - 1 cannot wrap.
-    labels = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None], cols, axis=1)
-    seen = np.zeros((n, cols), dtype=bool)
-    for j in range(m):
-        seen[ends[j]] |= present[j]
-        seen[ends[m + j]] |= present[j]
-    while True:
-        before = labels.copy()
-        for j in range(m):
-            a, b = labels[ends[j]], labels[ends[m + j]]
-            np.minimum(a, b, out=a, where=present[j])
-            np.copyto(b, a, where=present[j])
-        if np.array_equal(before, labels):
-            break
-    roots = seen & (labels == np.arange(n)[:, None])
-    return np.count_nonzero(roots, axis=0) == 1
+    return count_trails
 
 
 def _frontier_order(adj: dict[int, set[int]]) -> list[int]:
@@ -405,12 +436,11 @@ def estimate_trail_fraction(
     words = max(1, -(-m // 64))
     block = _block_size(src, dst)
     philox = np.random.Philox(key=seed)
+    count_trails = _trail_kernel(src, dst)
     successes = 0
     for done in range(0, samples, block):
-        raw = philox.random_raw(min(block, samples - done) * words).astype("<u8", copy=False)
-        sample_bytes = raw.view(np.uint8).reshape(-1, 8 * words).T
-        bits = np.unpackbits(sample_bytes, axis=0, count=m, bitorder="little")
-        successes += _count_trails(src, dst, bits)
+        size = min(block, samples - done)
+        successes += count_trails(philox.random_raw(size * words).reshape(size, words).T)
     ci_low, ci_high = wilson_interval(successes, samples, confidence)
     return EstimateReport(
         estimate=successes / samples,

@@ -115,12 +115,28 @@ def subset_mask(g: Multigraph, subset: SubsetLike) -> int:
     return EdgeSubset.from_indices(subset, g.m).mask
 
 
+def _decimal_ints(tokens: Iterable[str]) -> list[int]:
+    """The tokens as integers; ``ValueError`` unless each is a run of ASCII digits.
+
+    ``int`` alone also takes signs, underscores, surrounding blanks and
+    non-ASCII digits, so ``+0``, ``1_0`` or full-width and Arabic-Indic digits
+    would silently alias an index. Runs longer than the interpreter's
+    int-to-str digit limit still raise ``ValueError`` from ``int``.
+    """
+    tokens = list(tokens)
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"{token!r} is not a run of ASCII digits")
+    return [int(token) for token in tokens]
+
+
 def parse_graph(text: str) -> Multigraph:
     """Parse the edge-list text format.
 
     Format: lines starting with ``#`` (and blank lines) are ignored; the first
     remaining line is the header ``n m``; exactly ``m`` lines ``src dst`` with
-    0-based decimal vertex indices follow. Edge index = order of appearance.
+    0-based indices written as ASCII decimal digits follow. Edge index = order
+    of appearance.
     """
     lines = [ln for raw in text.splitlines() if (ln := raw.strip()) and not ln.startswith("#")]
     if not lines:
@@ -129,11 +145,9 @@ def parse_graph(text: str) -> Multigraph:
     if len(header) != 2:
         raise GraphFormatError(f"malformed header {lines[0]!r}: expected 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _decimal_ints(header)
     except ValueError:
-        raise GraphFormatError(f"malformed header {lines[0]!r}: expected two integers") from None
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"malformed header {lines[0]!r}: counts must be nonnegative")
+        raise GraphFormatError(f"malformed header {lines[0]!r}: expected two unsigned decimal integers") from None
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
@@ -143,10 +157,10 @@ def parse_graph(text: str) -> Multigraph:
         if len(parts) != 2:
             raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected 'src dst'")
         try:
-            s, t = int(parts[0]), int(parts[1])
+            s, t = _decimal_ints(parts)
         except ValueError:
-            raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected two integers") from None
-        if not (0 <= s < n) or not (0 <= t < n):
+            raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected two unsigned decimal integers") from None
+        if s >= n or t >= n:
             raise GraphFormatError(f"edge line {k}: endpoint ({s}, {t}) out of range for n={n}")
         if s == t:
             raise GraphFormatError(f"edge line {k}: self-loop at vertex {s} is forbidden")

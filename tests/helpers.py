@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from trailfrac import Multigraph, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
-from trailfrac.counting import _block_size, _count_trails
+from trailfrac.counting import _block_size, _trail_kernel
 from trailfrac.graphs import _edge_arrays
 
 
@@ -55,22 +55,28 @@ def brute_force_d(g: Multigraph) -> int:
 
 
 def enumerate_d(g: Multigraph) -> int:
-    """d(G) by deciding all 2^m subsets in blocks of consecutive masks with ``counting._count_trails``.
+    """d(G) by deciding all 2^m subsets with the estimator's kernel, ``counting._trail_kernel``.
 
-    A block of ``2^k`` masks shares its high ``m - k`` bits; its low ``k`` bits
-    run through every pattern, which is built once and reused by every block.
+    Mask ``x`` is edge set {j : bit j of x is set}, which is how the kernel reads
+    a one-word column, so blocks of consecutive masks go in as they are.
     Block size follows ``counting._BLOCK_CELLS``. Practical up to m = 24 or so.
     """
-    m = g.m
     src, dst = _edge_arrays(g)
-    k = min(m, _block_size(src, dst).bit_length() - 1)
-    bits = np.empty((m, 1 << k), dtype=np.uint8)
-    bits[:k] = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
-    d = 0
-    for high in range(1 << (m - k)):
-        bits[k:] = (high >> np.arange(m - k)[:, None]) & 1
-        d += _count_trails(src, dst, bits)
-    return d
+    count_trails = _trail_kernel(src, dst)
+    block = _block_size(src, dst)
+    return sum(
+        count_trails(np.arange(start, min(start + block, 1 << g.m), dtype=np.uint64)[None])
+        for start in range(0, 1 << g.m, block)
+    )
+
+
+def pack_columns(bits: np.ndarray) -> np.ndarray:
+    """The ``(W, B)`` uint64 word block of an ``(m, B)`` 0/1 block: bit ``j % 64`` of row ``j // 64`` is row ``j``."""
+    m, cols = bits.shape
+    words = np.zeros((max(1, -(-m // 64)), cols), dtype=np.uint64)
+    for j in range(m):
+        words[j // 64] |= bits[j].astype(np.uint64) << np.uint64(j % 64)
+    return words
 
 
 def numpy_reference_d(g: Multigraph) -> int:

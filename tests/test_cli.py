@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trailfrac
-from trailfrac import gen_family, gen_random_multigraph, parse_graph, serialize_graph
+from trailfrac import count_family_closed_form, gen_family, gen_random_multigraph, parse_graph, serialize_graph
 from trailfrac.cli import main
 
 from helpers import two_disjoint_two_cycles
@@ -107,6 +111,12 @@ class TestCheck:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("subset", ["1_0", "+0", "0,+1", "\u0660", "\uff10", "\u0661,\u0662"])
+    def test_integer_aliases_exit_1(self, capsys, path3_file, subset):
+        code, out, err = run(capsys, ["check", path3_file, "--subset", subset])
+        assert (code, out) == (1, "")
+        assert "invalid --subset value" in err
+
 
 class TestCount:
     def test_family4_json(self, capsys, family4_file):
@@ -129,6 +139,28 @@ class TestCount:
         assert code == 1
         assert out == ""
         assert "live frontier states" in err and "estimate" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_count_past_int_digit_limit(self, capsys, tmp_path, fmt):
+        # d has 4 814 digits, past the interpreter's default int-to-str limit of 4 300.
+        path = tmp_path / "family16000.txt"
+        path.write_text(serialize_graph(gen_family(16_000)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, ["count", str(path), "--format", fmt])
+            # Lifted only while rendering: parse_graph relies on the limit.
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            d = int(json.loads(out, parse_int=Decimal)["d"])
+        elif fmt == "text":
+            d = int(Decimal(out.splitlines()[1].removeprefix("d: ")))
+        else:
+            d = int(Decimal(out.splitlines()[1].split(",")[1]))
+        assert d == count_family_closed_form(16_000).total
 
 
 class TestEstimate:
@@ -235,6 +267,77 @@ class TestDispatch:
         code, out, _ = run(capsys, ["check", str(path), "--subset", "0,1,2,3", "--format", "text"])
         assert code == 0
         assert out == "not a trail: disconnected\n"
+
+
+def _aliases(token: str) -> list[str]:
+    """Spellings that int() reads as the same number as an ASCII digit run."""
+    return [
+        "+" + token,
+        token[:1] + "_" + token[1:] if len(token) > 1 else "0_" + token,
+        token.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")),
+        token.translate(str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")),
+    ]
+
+
+@st.composite
+def check_calls(draw):
+    """A graph file, a ``check`` argv for it, and the exit code it must give.
+
+    At most one fault is planted: an integer alias in the file or in
+    ``--subset`` (exit 1), a broken file line (exit 1), or an unknown flag
+    (exit 2, which argparse reports before the file is read).
+    """
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, max_size=6))
+    lines = serialize_graph(trailfrac.Multigraph(n, tuple(edges))).splitlines()
+    subset = [str(j) for j in sorted(draw(st.sets(st.integers(0, len(edges) - 1))))] if edges else []
+    fault = draw(st.sampled_from(["none", "file-alias", "subset-alias", "file-line", "flag"]))
+    code, extra, bad_line = 0, [], None
+    if fault == "file-alias":
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split()
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(_aliases(tokens[i])))
+        lines[k] = bad_line = " ".join(tokens)
+        code = 1
+    elif fault == "subset-alias" and subset:
+        i = draw(st.integers(0, len(subset) - 1))
+        subset[i] = draw(st.sampled_from(_aliases(subset[i])))
+        code = 1
+    elif fault == "file-line":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = bad_line = lines[k] + draw(st.sampled_from([" 0", "x", " -1", ".0"]))
+        code = 1
+    elif fault == "flag":
+        extra = ["--no-such-flag"]
+        code = 2
+    text = "\n".join(draw(st.sampled_from(["# comment", ""])) + "\n" + ln if draw(st.booleans()) else ln for ln in lines)
+    return text + "\n", ["--subset", ",".join(subset), *extra], code, bad_line
+
+
+class TestInputErrors:
+    @settings(max_examples=200, deadline=None)
+    @given(check_calls())
+    def test_exit_codes_on_malformed_input(self, tmp_path_factory, case):
+        text, argv, want, bad_line = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["check", str(path), *argv])
+            except SystemExit as exc:
+                code = exc.code
+        assert code == want
+        if code == 0:
+            assert json.loads(out.getvalue())["m"] == parse_graph(text).m
+        else:
+            assert out.getvalue() == ""
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+        if bad_line is not None:
+            assert repr(bad_line) in err.getvalue()
 
 
 class TestImports:

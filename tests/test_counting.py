@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,9 +26,10 @@ from trailfrac import (
     is_trail,
     wilson_interval,
 )
-from trailfrac.counting import _connected_columns, _count_trails
+from trailfrac.counting import _trail_kernel
+from trailfrac.graphs import _edge_arrays
 
-from helpers import brute_force_d, enumerate_d, numpy_reference_d, small_corpus, two_disjoint_two_cycles
+from helpers import brute_force_d, enumerate_d, numpy_reference_d, pack_columns, small_corpus, two_disjoint_two_cycles
 
 
 @st.composite
@@ -190,8 +192,8 @@ class TestConnectivity:
     @given(graphs_with_blocks())
     def test_block_count_matches_is_trail(self, case):
         g, bits = case
-        src, dst = [e.source for e in g.edges], [e.target for e in g.edges]
-        assert _count_trails(src, dst, bits) == sum(
+        src, dst = _edge_arrays(g)
+        assert _trail_kernel(src, dst)(pack_columns(bits)) == sum(
             is_trail(g, np.flatnonzero(column).tolist()).is_trail for column in bits.T
         )
 
@@ -200,23 +202,52 @@ class TestConnectivity:
     def test_columns_match_networkx(self, case):
         nx = pytest.importorskip("networkx")
         g, bits = case
-        src, dst = [e.source for e in g.edges], [e.target for e in g.edges]
-        touched, ends = np.unique(src + dst, return_inverse=True)
-        got = _connected_columns(ends, touched.size, bits)
-        for column, verdict in zip(bits.T, got):
-            sub = nx.MultiDiGraph([g.edges[j] for j in np.flatnonzero(column)])
-            assert verdict == (column.any() and nx.is_weakly_connected(sub))
+        count_trails = _trail_kernel(*_edge_arrays(g))
+        words = pack_columns(bits)
+        want = []
+        for column in bits.T:
+            edges = [g.edges[j] for j in np.flatnonzero(column)]
+            imbalance = Counter(s for s, _ in edges)
+            imbalance.subtract(t for _, t in edges)
+            balanced = all(abs(x) <= 1 for x in imbalance.values()) and sum(map(abs, imbalance.values())) <= 2
+            want.append(bool(edges) and balanced and nx.is_weakly_connected(nx.MultiDiGraph(edges)))
+        assert [count_trails(words[:, [c]]) for c in range(words.shape[1])] == want
+        assert count_trails(words) == sum(want)
 
-    def test_labels_wider_than_int16(self):
-        # 40 000 touched vertices: int16 labels would wrap, and the all-edges
-        # column would then look connected.
+    def test_wide_block_two_long_cycles(self):
+        # 40 000 touched vertices and W = 625 words per column: the union of
+        # two disjoint cycles is balanced but not connected, one cycle alone
+        # is a trail, and the empty column is not.
         k = 20_000
         cycle = [(i, (i + 1) % k) for i in range(k)]
         edges = cycle + [(k + s, k + t) for s, t in cycle]
         bits = np.zeros((2 * k, 3), dtype=np.uint8)
         bits[:, 0] = 1
         bits[:k, 1] = 1
-        assert _count_trails([s for s, _ in edges], [t for _, t in edges], bits) == 1
+        words = pack_columns(bits)
+        assert words.shape == (625, 3)
+        assert _trail_kernel([s for s, _ in edges], [t for _, t in edges])(words) == 1
+
+    @pytest.mark.parametrize("k", [127, 128, 129, 255, 256])
+    def test_imbalance_does_not_wrap(self, k):
+        # k parallel edges 0 -> 1, all present: the two vertices sit at +k and
+        # -k, which an 8-bit imbalance would wrap for k = 128.
+        words = np.full((-(-k // 64), 1), 2**64 - 1, dtype=np.uint64)
+        assert _trail_kernel([0] * k, [1] * k)(words) == 0
+
+    @pytest.mark.parametrize("m", [63, 64, 65])
+    def test_bits_at_or_above_m_ignored(self, m):
+        # Columns: the last edge with every spare bit above it set, a single
+        # spare bit, nothing, and the whole path with every spare bit set. A
+        # spare bit left in place would make the first and last columns look
+        # disconnected and the second look like a one-edge trail.
+        count_trails = _trail_kernel(*_edge_arrays(gen_path(m)))
+        width = 64 * -(-m // 64)
+        spare = (1 << width) - (1 << m)
+        masks = [1 << (m - 1) | spare, 1 << m & spare, 0, (1 << width) - 1]
+        words = np.array([[mask >> (64 * w) & (2**64 - 1) for mask in masks] for w in range(width // 64)], dtype=np.uint64)
+        assert [count_trails(words[:, [c]]) for c in range(len(masks))] == [1, 0, 0, 1]
+        assert count_trails(words) == 2
 
 
 class TestFamilyClosedForm:
@@ -315,7 +346,7 @@ class TestEstimate:
         graphs = [_golden_graph(n, m) for m, n in [(16, 3), (40, 4), (65, 3), (130, 2)]]
         cases = [(g, seed) for g in graphs for seed in GOLDEN_SEEDS]
         want = [estimate_trail_fraction(g, 1000, seed) for g, seed in cases]
-        # 3 to 21 samples per block for these graphs.
+        # 16 to 50 samples per block for these graphs.
         monkeypatch.setattr(trailfrac.counting, "_BLOCK_CELLS", 400)
         assert [estimate_trail_fraction(g, 1000, seed) for g, seed in cases] == want
 

@@ -103,6 +103,32 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1_0 0",
+            "+2 0",
+            "2 +0",
+            "\u0662 \u0660",
+            "\uff12 \uff10",
+            "2 1\n0 1_0",
+            "2 1\n+0 1",
+            "2 1\n\u0660 \u0661",
+            "2 1\n\uff10 \uff11",
+            "2 1\n0 \u00b9",
+        ],
+        ids=["underscore", "plus-n", "plus-m", "arabic-indic", "full-width", "edge-underscore", "edge-plus",
+             "edge-arabic-indic", "edge-full-width", "superscript"],
+    )
+    def test_integer_aliases_rejected(self, text):
+        # int() reads each of these tokens as a small number.
+        with pytest.raises(GraphFormatError, match="unsigned decimal integers"):
+            parse_graph(text)
+
+    def test_huge_numeral_rejected(self):
+        with pytest.raises(GraphFormatError, match="malformed header"):
+            parse_graph("9" * 5000 + " 0\n")
+
 
 class TestSerialize:
     def test_single_edge(self):

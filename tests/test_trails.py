@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,46 @@ def closed_walk(n: int, length: int, seed: int) -> Multigraph:
     edges = [(walk[i], walk[(i + 1) % length]) for i in range(length)]
     rng.shuffle(edges)
     return Multigraph(n, tuple(edges))
+
+
+@st.composite
+def walks_at_scale(draw):
+    """A shuffled random walk of 1 000 to 4 000 edges plus a few stray edges, and a subset.
+
+    The walk, open or closed, runs on 3 to 300 vertices. Up to three stray
+    edges may touch the two fresh vertices n and n + 1, and an edge between
+    those two may be added. The subset is the walk (a trail), the walk less a
+    few edges, every edge, or a random half, so all three verdicts occur.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 300))
+    length = draw(st.integers(1_000, 4_000))
+    walk = [rng.randrange(n)]
+    while len(walk) <= length:
+        v = rng.randrange(n)
+        if v != walk[-1]:
+            walk.append(v)
+    if draw(st.booleans()) and walk[-2] != walk[0]:
+        walk[-1] = walk[0]
+    edges = [(walk[i], walk[i + 1], True) for i in range(length)]
+    for _ in range(draw(st.integers(0, 3))):
+        s = rng.randrange(n + 2)
+        edges.append((s, (s + rng.randrange(1, n + 2)) % (n + 2), False))
+    if draw(st.booleans()):
+        edges.append((n, n + 1, False))
+    rng.shuffle(edges)
+    g = Multigraph(n + 2, tuple((s, t) for s, t, _ in edges))
+    kind = draw(st.sampled_from(["walk", "walk-less-some", "all", "random-half"]))
+    if kind == "all":
+        subset = list(range(g.m))
+    elif kind == "random-half":
+        subset = [j for j in range(g.m) if rng.random() < 0.5]
+    else:
+        subset = [j for j, (_, _, on_walk) in enumerate(edges) if on_walk]
+        if kind == "walk-less-some":
+            for j in rng.sample(subset, draw(st.integers(1, 3))):
+                subset.remove(j)
+    return g, subset
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +253,30 @@ class TestLongWalk:
         verdict = is_trail(long_walk, subset)
         assert verdict.failure_reason is FailureReason.DEGREE_IMBALANCE
         assert not necessary_balance_condition(long_walk, subset)
+
+
+class TestAtScale:
+    @settings(max_examples=40, deadline=None)
+    @given(walks_at_scale())
+    def test_verdict_matches_euler_characterization(self, case):
+        nx = pytest.importorskip("networkx")
+        g, subset = case
+        verdict = is_trail(g, subset)
+        edges = [g.edges[j] for j in subset]
+        imbalance = Counter(s for s, _ in edges)
+        imbalance.subtract(t for _, t in edges)
+        balanced = all(abs(x) <= 1 for x in imbalance.values()) and sum(map(abs, imbalance.values())) <= 2
+        connected = bool(edges) and nx.is_weakly_connected(nx.MultiDiGraph(edges))
+        assert verdict.is_trail == (connected and balanced)
+        if verdict.is_trail:
+            assert sorted(verdict.witness) == subset
+            assert chains(g, verdict.witness)
+        else:
+            assert verdict.witness is None
+            assert verdict.failure_reason is (
+                FailureReason.EMPTY_SUBSET
+                if not edges
+                else FailureReason.DISCONNECTED
+                if not connected
+                else FailureReason.DEGREE_IMBALANCE
+            )
