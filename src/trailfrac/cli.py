@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -53,6 +54,7 @@ def _render(payload, fmt: str, text_fn) -> str:
     # Exact counts pass the interpreter's limit on int-to-str digits (4300 by
     # default) once m exceeds about 14 280. The limit is lifted only while the
     # output is written: parsing the input relies on it to reject huge numerals.
+    # Strings built before this point write such ints through Decimal.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -174,7 +176,7 @@ def _cmd_scan(args) -> str:
             "m": r.m,
             "d": r.d,
             "f": float(r.f),
-            "f_exact": f"{r.d}/{1 << r.m}",
+            "f_exact": f"{Decimal(r.d)}/{Decimal(1 << r.m)}",
             "f_sqrt_m": r.f_sqrt_m,
             "theorem_bound": r.theorem_bound,
         }
@@ -196,13 +198,14 @@ def _cmd_scan(args) -> str:
 def _cmd_bounds(args) -> str:
     report = bounds_mod.bound_report(args.m)
     checks = bounds_mod.proof_ingredient_summary()
+    f = report.family_f
     payload = {
         "m": report.m,
         "theorem_value": report.theorem_value,
         "k": report.k,
         "r": report.r,
-        "family_f": None if report.family_f is None else f"{report.family_f.numerator}/{report.family_f.denominator}",
-        "family_f_decimal": None if report.family_f is None else float(report.family_f),
+        "family_f": None if f is None else f"{Decimal(f.numerator)}/{Decimal(f.denominator)}",
+        "family_f_decimal": None if f is None else float(f),
         "ratio": report.ratio,
     }
     payload.update({f"check_{name}": ok for name, ok in checks.items()})

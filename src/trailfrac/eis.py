@@ -6,9 +6,9 @@ procedure below always picks the vertex with the fewest remaining incident
 edges; each pick removes at most two vertices from the working set, so when
 every vertex starts with an incident edge the sequence reaches length at
 least |V|/2. This is the smallest-last elimination order of Matula and Beck
-(J. ACM 30(3), 1983); a binary heap of ``(remaining degree, vertex)`` entries
-with lazy deletion finds each pick, so the whole sequence costs
-O((n + m) log n).
+(J. ACM 30(3), 1983); a binary heap of ``(remaining degree, vertex)`` keys,
+each packed into one int, finds each pick with lazy deletion, so the whole
+sequence costs O((n + m) log n).
 """
 
 from __future__ import annotations
@@ -44,27 +44,32 @@ def greedy_eis(g: Multigraph) -> EisSequence:
     at least |V|/2. The certificate fresh edge recorded for each vertex is the
     lowest-index edge still present when the vertex is picked.
 
-    Picks come from a heap of ``(remaining degree, vertex)`` entries, so they
-    follow the tie-break above exactly. Each step pushes one fresh entry per
-    surviving neighbour, whatever the number of parallel edges it lost, and
-    entries are never removed: a popped entry whose vertex is gone is skipped.
+    Picks come from a heap of ``(remaining degree, vertex)`` entries, each
+    packed into one int, so they follow the tie-break above exactly. Each step
+    pushes one fresh entry per surviving neighbour, whatever the number of
+    parallel edges it lost, and entries are never removed: a popped entry
+    whose vertex is gone is skipped.
     Degrees only fall, so a live vertex's current entry is smaller than its
     stale ones and always pops first. A pair of adjacent vertices causes at
     most one push, so the heap holds at most n + min(m, n²) entries and the
     cost is O((n + m) log n).
     """
+    edges = g.edges
     remaining: dict[int, set[int]] = {}
-    for i, (s, t) in enumerate(g.edges):
+    for i, (s, t) in enumerate(edges):
         remaining.setdefault(s, set()).add(i)
         remaining.setdefault(t, set()).add(i)
-    heap = [(len(edges), v) for v, edges in remaining.items()]
+    # A key (degree << shift) | v orders as the pair (degree, v) does.
+    shift = g.vertex_count.bit_length()
+    mask = (1 << shift) - 1
+    heap = [len(incident) << shift | v for v, incident in remaining.items()]
     heapq.heapify(heap)
 
     vertices: list[int] = []
     fresh_edges: list[int] = []
     eliminated: list[int] = []
     while heap:
-        _, v = heapq.heappop(heap)
+        v = heapq.heappop(heap) & mask
         if v not in remaining:
             continue
         dropped = remaining.pop(v)
@@ -73,7 +78,7 @@ def greedy_eis(g: Multigraph) -> EisSequence:
         removed = 1
         lowered: set[int] = set()
         for e in dropped:
-            s, t = g.edges[e]
+            s, t = edges[e]
             u = t if s == v else s
             live = remaining.get(u)
             if live is None:
@@ -86,7 +91,7 @@ def greedy_eis(g: Multigraph) -> EisSequence:
                 removed += 1
         for u in lowered:
             if u in remaining:
-                heapq.heappush(heap, (len(remaining[u]), u))
+                heapq.heappush(heap, len(remaining[u]) << shift | u)
         eliminated.append(removed)
     return EisSequence(tuple(vertices), tuple(fresh_edges), tuple(eliminated))
 

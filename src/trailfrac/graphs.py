@@ -137,8 +137,14 @@ def parse_graph(text: str) -> Multigraph:
     remaining line is the header ``n m``; exactly ``m`` lines ``src dst`` with
     0-based indices written as ASCII decimal digits follow. Edge index = order
     of appearance.
+
+    The edge lines are checked and converted in bulk (``_bulk_edges``); if
+    that or the graph's own check fails, ``_edges_by_line`` reruns them one
+    at a time to name the first offending line.
     """
-    lines = [ln for raw in text.splitlines() if (ln := raw.strip()) and not ln.startswith("#")]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [ln for ln in lines if not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("missing header line 'n m'")
     header = lines[0].split()
@@ -151,6 +157,34 @@ def parse_graph(text: str) -> Multigraph:
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
+    try:
+        return Multigraph(n, _bulk_edges(body))
+    except ValueError:
+        return Multigraph(n, _edges_by_line(body, n))
+
+
+def _bulk_edges(body: list[str]) -> tuple[Edge, ...]:
+    """The edges of the ``src dst`` lines, by C-level string and int operations.
+
+    ``ValueError`` unless every line holds exactly two tokens and every token
+    is a run of ASCII digits short enough for ``int``. Endpoints are left to
+    the ``Multigraph`` check.
+    """
+    if not body:
+        return ()
+    if set(map(len, map(str.split, body))) != {2}:
+        raise ValueError("an edge line does not hold two tokens")
+    tokens = " ".join(body).split()
+    digits = "".join(tokens)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("an edge line holds a token that is not a run of ASCII digits")
+    ends = iter(map(int, tokens))
+    # tuple.__new__(Edge, pair) is what Edge(s, t) runs, without the Python-level call.
+    return tuple(map(tuple.__new__, [Edge] * len(body), zip(ends, ends)))
+
+
+def _edges_by_line(body: list[str], n: int) -> tuple[Edge, ...]:
+    """The edges of the ``src dst`` lines; ``GraphFormatError`` naming the first bad line."""
     edges = []
     for k, ln in enumerate(body):
         parts = ln.split()
@@ -165,7 +199,7 @@ def parse_graph(text: str) -> Multigraph:
         if s == t:
             raise GraphFormatError(f"edge line {k}: self-loop at vertex {s} is forbidden")
         edges.append(Edge(s, t))
-    return Multigraph(n, tuple(edges))
+    return tuple(edges)
 
 
 def serialize_graph(g: Multigraph) -> str:

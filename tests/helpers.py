@@ -1,9 +1,11 @@
 """Shared test oracles and corpus builders.
 
 The oracles here are deliberately self-contained (no imports from the
-library's decision logic) so tests compare two independent routes. The one
-exception is ``enumerate_d``, which drives the estimator's numpy kernel over
-every subset: it shares no code with the frontier count it checks.
+library's decision logic) so tests compare two independent routes. The
+exceptions are ``enumerate_d``, which drives the estimator's numpy kernel over
+every subset: it shares no code with the frontier count it checks; and
+``reference_parse_graph``, which shares only the token check
+``graphs._decimal_ints`` with the bulk parser it checks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from trailfrac import Multigraph, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
 from trailfrac.counting import _block_size, _trail_kernel
-from trailfrac.graphs import _edge_arrays
+from trailfrac.graphs import Edge, GraphFormatError, _decimal_ints, _edge_arrays
 
 
 def perm_oracle(g: Multigraph, indices) -> bool:
@@ -155,6 +157,41 @@ def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...
                 removed += 1
         eliminated.append(removed)
     return tuple(vertices), tuple(fresh_edges), tuple(eliminated)
+
+
+def reference_parse_graph(text: str) -> Multigraph:
+    """``trailfrac.parse_graph`` as it was before bulk parsing: one edge line at a time.
+
+    Same format, same graphs, same ``GraphFormatError`` messages.
+    """
+    lines = [ln for raw in text.splitlines() if (ln := raw.strip()) and not ln.startswith("#")]
+    if not lines:
+        raise GraphFormatError("missing header line 'n m'")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise GraphFormatError(f"malformed header {lines[0]!r}: expected 'n m'")
+    try:
+        n, m = _decimal_ints(header)
+    except ValueError:
+        raise GraphFormatError(f"malformed header {lines[0]!r}: expected two unsigned decimal integers") from None
+    body = lines[1:]
+    if len(body) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
+    edges = []
+    for k, ln in enumerate(body):
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected 'src dst'")
+        try:
+            s, t = _decimal_ints(parts)
+        except ValueError:
+            raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected two unsigned decimal integers") from None
+        if s >= n or t >= n:
+            raise GraphFormatError(f"edge line {k}: endpoint ({s}, {t}) out of range for n={n}")
+        if s == t:
+            raise GraphFormatError(f"edge line {k}: self-loop at vertex {s} is forbidden")
+        edges.append(Edge(s, t))
+    return Multigraph(n, tuple(edges))
 
 
 def reference_degree(g: Multigraph, v: int, mask: int | None = None) -> tuple[int, int, int]:

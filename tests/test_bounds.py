@@ -1,5 +1,7 @@
+import hashlib
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,6 +18,11 @@ from trailfrac import (
     theorem_upper_bound,
     vandermonde_identity_check,
 )
+from trailfrac.bounds import _central_binomials
+
+# sha256 of family_ratio_csv(family_ratio_scan(4, 2000)), recorded while every
+# d came from a fresh math.comb (count_family_closed_form).
+GOLDEN_SCAN_CSV_SHA256 = "34465c04243db125ef39b8c286085605e2867cc28350c285b0a1b528a3f6ebd7"
 
 
 class TestTheoremUpperBound:
@@ -84,6 +91,12 @@ class TestCentralBinomial:
         lhs = Fraction(math.comb(100, 50), 1 << 100)
         assert float(lhs) == pytest.approx(0.0795892, abs=1e-6)
         assert math.e / (10 * math.pi) == pytest.approx(0.0865256, abs=1e-6)
+
+    def test_same_verdict_as_exact_fraction(self):
+        # int / int and float(Fraction) round the same rational the same way.
+        for c in range(2, 401, 2):
+            exact = float(Fraction(math.comb(c, c // 2), 1 << c)) <= math.e / (math.pi * math.sqrt(c))
+            assert central_binomial_bound_check(c) is exact
 
     def test_holds_up_to_200(self):
         assert all(central_binomial_bound_check(c) for c in range(2, 201, 2))
@@ -207,6 +220,34 @@ class TestFamilyRatioScan:
     def test_rejects_bad_ranges(self, bad):
         with pytest.raises(ValueError):
             family_ratio_scan(*bad)
+
+    def test_golden_csv(self):
+        text = family_ratio_csv(family_ratio_scan(4, 2000))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SCAN_CSV_SHA256
+
+    def test_rows_match_closed_form_up_to_3000(self):
+        rows = family_ratio_scan(4, 3000)
+        assert [row.m for row in rows] == list(range(4, 3001, 2))
+        for row in rows:
+            total = count_family_closed_form(row.m).total
+            assert row.d == total
+            assert row.f == Fraction(total, 1 << row.m)
+            assert row.f_sqrt_m == float(row.f) * math.sqrt(row.m)
+            assert row.theorem_bound == theorem_upper_bound(row.m)
+
+    @pytest.mark.parametrize("m_min, m_max", [(4, 4), (6, 6), (8, 12), (1000, 1010), (2998, 3000)])
+    def test_ranges_seeded_past_4(self, m_min, m_max):
+        # The recurrence starts at m_min: a wrong seed or step shows in the first rows.
+        rows = family_ratio_scan(m_min, m_max)
+        assert [row.m for row in rows] == list(range(m_min, m_max + 1, 2))
+        assert [row.d for row in rows] == [count_family_closed_form(m).total for m in range(m_min, m_max + 1, 2)]
+
+
+class TestCentralBinomials:
+    @pytest.mark.parametrize("start", [0, 2, 4, 1000])
+    def test_matches_comb(self, start):
+        got = list(islice(_central_binomials(start), 300))
+        assert got == [math.comb(m, m // 2) for m in range(start, start + 600, 2)]
 
 
 class TestBoundReport:

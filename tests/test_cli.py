@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,9 @@ from trailfrac import count_family_closed_form, gen_family, gen_random_multigrap
 from trailfrac.cli import main
 
 from helpers import two_disjoint_two_cycles
+
+# sha256 of the output of `trailfrac bounds --m 1024` (JSON).
+GOLDEN_BOUNDS_M1024_SHA256 = "d2bab7b24c5b889ff0f97071e86024abcf077d2283ee319a64c1a2f8651dc54c"
 
 
 @pytest.fixture()
@@ -35,6 +40,20 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_at_default_digit_limit(capsys, argv):
+    """``run`` under the interpreter's default 4300-digit int-to-str limit,
+    checking that the call leaves the limit as it found it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = run(capsys, argv)
+        # Lifted only while rendering: parse_graph relies on the limit.
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return result
 
 
 class TestGen:
@@ -142,17 +161,10 @@ class TestCount:
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_count_past_int_digit_limit(self, capsys, tmp_path, fmt):
-        # d has 4 814 digits, past the interpreter's default int-to-str limit of 4 300.
+        # d has 4 815 digits, past the interpreter's default int-to-str limit of 4 300.
         path = tmp_path / "family16000.txt"
         path.write_text(serialize_graph(gen_family(16_000)))
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
-            code, out, err = run(capsys, ["count", str(path), "--format", fmt])
-            # Lifted only while rendering: parse_graph relies on the limit.
-            assert sys.get_int_max_str_digits() == 4300
-        finally:
-            sys.set_int_max_str_digits(limit)
+        code, out, err = run_at_default_digit_limit(capsys, ["count", str(path), "--format", fmt])
         assert (code, err) == (0, "")
         if fmt == "json":
             d = int(json.loads(out, parse_int=Decimal)["d"])
@@ -226,6 +238,23 @@ class TestScan:
         assert code == 1
         assert "even" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_past_int_digit_limit(self, capsys, fmt):
+        # d has 4 514 or 4 515 digits, past the default int-to-str limit of 4 300.
+        argv = ["scan", "--m-min", "15000", "--m-max", "15004", "--format", fmt]
+        code, out, err = run_at_default_digit_limit(capsys, argv)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            rows = json.loads(out, parse_int=Decimal)
+            ds = [int(row["d"]) for row in rows]
+            for row, d in zip(rows, ds):
+                assert row["f_exact"] == f"{Decimal(d)}/{Decimal(1 << int(row['m']))}"
+        elif fmt == "text":
+            ds = [int(Decimal(line.split()[1])) for line in out.splitlines()[1:]]
+        else:
+            ds = [int(Decimal(line.split(",")[1])) for line in out.splitlines()[1:]]
+        assert ds == [count_family_closed_form(m).total for m in (15000, 15002, 15004)]
+
 
 class TestBounds:
     def test_m16(self, capsys):
@@ -242,6 +271,31 @@ class TestBounds:
         assert payload["check_balance_window"] is True
         assert payload["check_case2_tail"] is True
         assert payload["check_vandermonde"] is True
+
+    def test_golden_m1024(self, capsys):
+        # Recorded while every central binomial came from a fresh math.comb.
+        code, out, _ = run(capsys, ["bounds", "--m", "1024"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BOUNDS_M1024_SHA256
+        f = Fraction(count_family_closed_form(1024).total, 1 << 1024)
+        assert json.loads(out)["family_f"] == f"{f.numerator}/{f.denominator}"
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_past_int_digit_limit(self, capsys, fmt):
+        # family_f's numerator has 4 815 digits, past the default int-to-str limit of 4 300.
+        code, out, err = run_at_default_digit_limit(capsys, ["bounds", "--m", "16000", "--format", fmt])
+        assert (code, err) == (0, "")
+        f = Fraction(count_family_closed_form(16_000).total, 1 << 16_000)
+        if fmt == "text":
+            assert f"family f: {float(f):.10g}\n" in out
+            return
+        if fmt == "json":
+            family_f = json.loads(out)["family_f"]
+        else:
+            header, row = out.splitlines()
+            family_f = row.split(",")[header.split(",").index("family_f")]
+        numerator, denominator = family_f.split("/")
+        assert Fraction(int(Decimal(numerator)), int(Decimal(denominator))) == f
 
 
 class TestDispatch:

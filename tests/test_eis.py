@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,33 @@ class TestReference:
     def test_golden_sequences(self, seed):
         seq = greedy_eis(gen_random_multigraph(8000, 40_000, seed=seed))
         assert hashlib.sha256(repr(as_tuples(seq)).encode()).hexdigest() == GOLDEN_EIS_SHA256[seed]
+
+
+def top_heavy_graph(n: int, top_isolated: bool, seed: int) -> Multigraph:
+    """Random multigraph on ``n`` vertices whose edges touch at most 40 of them:
+    0, the highest index in use and its neighbour, and random others. With
+    ``top_isolated`` the highest index ``n - 1`` touches no edge."""
+    top = n - 1 - top_isolated
+    if top < 1:
+        return Multigraph(n, ())
+    r = random.Random(seed)
+    pool = sorted({0, top, top - 1, *(r.randrange(top + 1) for _ in range(37))})
+    edges = [(top, 0)] + [tuple(r.sample(pool, 2)) for _ in range(r.randrange(len(pool), 4 * len(pool)))]
+    return Multigraph(n, tuple(edges))
+
+
+class TestHeapKeys:
+    """The packed heap key (degree << n.bit_length()) | v at vertex counts around
+    powers of two, with the highest index in use or isolated."""
+
+    @pytest.mark.parametrize("top_isolated", [False, True], ids=["top-used", "top-isolated"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2**16 - 1, 2**16, 2**16 + 1])
+    def test_matches_linear_scan(self, n, top_isolated):
+        for seed in range(4):
+            g = top_heavy_graph(n, top_isolated, seed)
+            touched = {v for e in g.edges for v in e}
+            assert (n - 1 in touched) == (n >= 2 and not top_isolated)
+            assert as_tuples(greedy_eis(g)) == reference_greedy_eis(g)
 
 
 class TestGreedy:

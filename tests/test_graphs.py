@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trailfrac import (
     Edge,
@@ -22,6 +22,7 @@ from helpers import (
     reference_degree_profile,
     reference_imbalance_profile,
     reference_incident_edges,
+    reference_parse_graph,
 )
 
 
@@ -128,6 +129,94 @@ class TestParse:
     def test_huge_numeral_rejected(self):
         with pytest.raises(GraphFormatError, match="malformed header"):
             parse_graph("9" * 5000 + " 0\n")
+
+
+# Tokens that are not a vertex index: aliases int() would accept, junk, and
+# numerals past the interpreter's 4300-digit limit for str-to-int conversion.
+ODD_TOKENS = ["+0", "1_0", "\uff11", "\u0661", "\u00b9", "-1", "x", "007", "9" * 4300, "9" * 5000]
+GAPS = [" ", "\t", "  ", " \t "]
+NOISE_LINES = ["", "   ", "# comment", "#0 1", "\t# indented", "\x0c"]
+
+
+@st.composite
+def edge_list_documents(draw):
+    """Edge-list texts, about half of them well formed.
+
+    Malformed ones mix lines of one or three tokens, tokens out of range or not
+    runs of ASCII digits, self-loops and wrong edge counts; both kinds get
+    comments, blank lines, tabs, padding and CRLF endings.
+    """
+    n = draw(st.integers(2, 9))
+    clean = draw(st.booleans())
+    vertex = st.integers(0, n - 1).map(str)
+    if clean:
+        pairs = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]).map(list)
+        rows = draw(st.lists(pairs, max_size=8))
+    else:
+        token = st.one_of(vertex, vertex, vertex, st.integers(n, n + 2).map(str), st.sampled_from(ODD_TOKENS))
+        width = st.sampled_from([2, 2, 2, 1, 3])
+        rows = draw(st.lists(width.flatmap(lambda w: st.lists(token, min_size=w, max_size=w)), max_size=8))
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [draw(pad) + draw(st.sampled_from(GAPS)).join(row) + draw(pad) for row in rows]
+    m = len(rows) if clean else len(rows) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines.insert(0, f"{n} {m}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE_LINES)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def parse_outcome(parse, text):
+    """The graph, or the type and message of the exception raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the comparison
+        return type(exc), str(exc)
+
+
+class TestParseOracle:
+    """Bulk parsing against the per-line parser it replaced: same graphs, same errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_documents())
+    def test_matches_per_line_parser(self, text):
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 2\n0 1 2\n1",
+            "3 2\n1\n0 1 2",
+            "3 2\n0\t1\n1 \t 2",
+            "# c\n\n3 2\n# x\n0 1\n\n   \n1 2\n",
+            "3 1\n+0 1",
+            "3 1\n1_0 1",
+            "3 1\n\uff10 1",
+            "3 2\n0 1\n\u0661 2",
+            "3 1\n0 3",
+            "3 2\n0 1\n2 7",
+            "3 1\n1 1",
+            "3 2\n0 3\n1 1",
+            "3 1\n0 " + "9" * 5000,
+            "3 1\n" + "1" * 4300 + " 0",
+            "3 0\n",
+            "3 0\n0 1",
+        ],
+        ids=["three-then-one", "one-then-three", "tabs", "comments-blanks", "plus", "underscore",
+             "full-width", "arabic-indic", "out-of-range", "out-of-range-second", "self-loop",
+             "first-error-wins", "5000-digits", "4300-digits", "no-edges", "extra-edge"],
+    )
+    def test_named_cases(self, text):
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+    def test_large_documents(self):
+        # Well formed, then one bad line near the end: the bulk path's failure
+        # still names the line the per-line parser names.
+        rows = [f"{i % 997} {(i * 7 + 1) % 997}" for i in range(20_000) if i % 997 != (i * 7 + 1) % 997]
+        text = f"997 {len(rows)}\n" + "\n".join(rows)
+        assert parse_graph(text) == reference_parse_graph(text)
+        bad = text[: text.rindex("\n")] + "\n5 5"
+        assert parse_outcome(parse_graph, bad) == parse_outcome(reference_parse_graph, bad)
+        assert "self-loop at vertex 5" in parse_outcome(parse_graph, bad)[1]
 
 
 class TestSerialize:
