@@ -3,6 +3,10 @@
 Single reports default to JSON; ``scan`` defaults to CSV. ``--format text``
 switches to a human-readable rendering everywhere. Domain errors exit with
 status 1 and a diagnostic on stderr; usage errors exit with status 2.
+
+Each handler imports the modules it calls, so a command loads only its own
+part of the package: ``count`` loads ``graphs`` and ``counting``, never
+``trails``, ``eis``, ``bounds`` or numpy.
 """
 
 from __future__ import annotations
@@ -10,11 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import counting, eis, generators, trails
 from .graphs import _decimal_ints, parse_graph, serialize_graph
 
 
@@ -68,9 +69,11 @@ def _render(payload, fmt: str, text_fn) -> str:
 
 
 def _cmd_check(args) -> str:
+    from .trails import is_trail, oracle_is_trail
+
     g = _load_graph(args.graph)
     subset = _parse_subset_arg(args.subset)
-    verdict = trails.is_trail(g, subset)
+    verdict = is_trail(g, subset)
     payload = {
         "m": g.m,
         "subset": sorted(subset),
@@ -80,7 +83,7 @@ def _cmd_check(args) -> str:
     if args.witness:
         payload["witness"] = list(verdict.witness) if verdict.witness else None
     if args.oracle:
-        oracle = trails.oracle_is_trail(g, subset)
+        oracle = oracle_is_trail(g, subset)
         payload["oracle_is_trail"] = oracle
         payload["oracle_agrees"] = oracle == verdict.is_trail
 
@@ -97,8 +100,10 @@ def _cmd_check(args) -> str:
 
 
 def _cmd_count(args) -> str:
+    from .counting import count_trails_exact
+
     g = _load_graph(args.graph)
-    report = counting.count_trails_exact(g)
+    report = count_trails_exact(g)
     payload = report.to_json_dict()
 
     def text(p) -> str:
@@ -113,8 +118,10 @@ def _cmd_count(args) -> str:
 
 
 def _cmd_estimate(args) -> str:
+    from .counting import estimate_trail_fraction
+
     g = _load_graph(args.graph)
-    report = counting.estimate_trail_fraction(
+    report = estimate_trail_fraction(
         g, samples=args.samples, seed=args.seed, confidence=args.confidence
     )
     payload = report.to_json_dict()
@@ -131,8 +138,10 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_eis(args) -> str:
+    from .eis import greedy_eis
+
     g = _load_graph(args.graph)
-    seq = eis.greedy_eis(g)
+    seq = greedy_eis(g)
     non_isolated = len({v for e in g.edges for v in e})
     payload = {
         "vertices": list(seq.vertices),
@@ -154,23 +163,29 @@ def _cmd_eis(args) -> str:
 
 
 def _cmd_gen(args) -> str:
+    from .generators import gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
+
     if args.shape == "family":
-        g = generators.gen_family(args.m)
+        g = gen_family(args.m)
     elif args.shape == "random":
-        g = generators.gen_random_multigraph(args.n, args.m, args.seed)
+        g = gen_random_multigraph(args.n, args.m, args.seed)
     elif args.shape == "path":
-        g = generators.gen_path(args.k)
+        g = gen_path(args.k)
     elif args.shape == "cycle":
-        g = generators.gen_cycle(args.k)
+        g = gen_cycle(args.k)
     else:
-        g = generators.gen_star(args.k)
+        g = gen_star(args.k)
     return serialize_graph(g)
 
 
 def _cmd_scan(args) -> str:
-    rows = bounds_mod.family_ratio_scan(args.m_min, args.m_max)
+    from decimal import Decimal
+
+    from .bounds import family_ratio_csv, family_ratio_scan
+
+    rows = family_ratio_scan(args.m_min, args.m_max)
     if args.format == "csv":
-        return bounds_mod.family_ratio_csv(rows)
+        return family_ratio_csv(rows)
     payload = [
         {
             "m": r.m,
@@ -196,8 +211,12 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    report = bounds_mod.bound_report(args.m)
-    checks = bounds_mod.proof_ingredient_summary()
+    from decimal import Decimal
+
+    from .bounds import bound_report, proof_ingredient_summary
+
+    report = bound_report(args.m)
+    checks = proof_ingredient_summary()
     f = report.family_f
     payload = {
         "m": report.m,

@@ -21,7 +21,8 @@ decided as drawn, one column of words per sample, by ``_trail_kernel``: a
 popcount balance filter visits the vertices from the highest degree down and
 drops each column at its first vertex whose imbalance rules out a trail, and
 the few columns left get a bitset connectivity test. numpy is imported
-inside these functions, so importing the package does not load it.
+inside these functions, and ``statistics`` inside ``wilson_interval``, so
+an exact count loads neither.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ import heapq
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
-from statistics import NormalDist
 from typing import TYPE_CHECKING, Callable
 
-from .graphs import Multigraph, _edge_arrays
+from .graphs import Multigraph, Record, _edge_arrays
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,8 +50,7 @@ EXACT_MAX_STATES = 200_000
 # Bytes of packed Philox words per estimator block.
 _BLOCK_CELLS = 1 << 21
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Record):
     """Exact count result; ``f`` is the exact rational d / 2^m."""
 
     m: int
@@ -72,8 +70,7 @@ class CountReport:
         }
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Record):
     estimate: float
     ci_low: float
     ci_high: float
@@ -92,8 +89,7 @@ class EstimateReport:
         }
 
 
-@dataclass(frozen=True)
-class FamilyCount:
+class FamilyCount(Record):
     """Trail counts of the two-vertex family graph, split by subset parity."""
 
     m: int
@@ -398,20 +394,29 @@ def count_family_closed_form(m: int) -> FamilyCount:
 
 
 def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The limits are exactly 0.0 when ``successes`` is 0 and exactly 1.0 when it
+    equals ``samples``, their closed forms; the general formula leaves rounding
+    residue there, a lower limit above an estimate of 0.
+    """
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 <= successes <= samples:
         raise ValueError(f"successes must lie in [0, {samples}], got {successes}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf((1 + confidence) / 2)
     n = samples
     p = successes / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == samples else min(1.0, center + half)
+    return low, high
 
 
 def estimate_trail_fraction(

@@ -14,14 +14,12 @@ sequence costs O((n + m) log n).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import Multigraph
+from .graphs import Multigraph, Record
 
 
-@dataclass(frozen=True)
-class EisSequence:
+class EisSequence(Record):
     """Greedy result: chosen vertices, one certificate fresh edge per vertex,
     and the number of working-set vertices eliminated by each step."""
 

@@ -8,13 +8,80 @@ values can be shared freely across workers.
 
 ``trails`` and ``counting`` build on its ``_edge_arrays``, ``trails`` also on
 its ``_imbalances``. Each degree helper decodes its subset once, in time
-linear in ``m``.
+linear in ``m``. Every value type of the package derives from its ``Record``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
+
+
+class Record:
+    """Base of the package's immutable value types: a frozen dataclass without ``dataclasses``.
+
+    A subclass declares its fields as class annotations, in order; a class
+    attribute of the same name is that field's default. Instances take their
+    fields by position or keyword and then run ``__post_init__``. They equal
+    only instances of the same type with equal fields, hash and repr by their
+    fields, refuse assignment and deletion, and pickle and copy through their
+    ``__dict__``, which holds exactly the fields in field order.
+
+    ``dataclasses`` is not used because importing it loads ``inspect``,
+    ``ast`` and ``dis``, and each decorated class compiles its methods at
+    import: together about 25 ms of the start-up of every command.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values in order from positional, keyword and default values."""
+        fields, kind = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{kind}() takes {len(fields)} arguments but {len(args)} were given")
+        positional = dict(zip(fields, args))
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{kind}() got an unexpected keyword argument {name!r}")
+            if name in positional:
+                raise TypeError(f"{kind}() got multiple values for argument {name!r}")
+        values = {**self._defaults, **positional, **kwargs}
+        for name in fields:
+            if name not in values:
+                raise TypeError(f"{kind}() missing argument {name!r}")
+        return [values[name] for name in fields]
+
+    def __post_init__(self) -> None:
+        """Validate or normalize the fields; the default accepts them as given."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Edge(NamedTuple):
@@ -26,8 +93,7 @@ class GraphFormatError(ValueError):
     """An edge-list document that does not follow the text format."""
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(Record):
     """Immutable directed multigraph with positional edge identity."""
 
     vertex_count: int
@@ -56,8 +122,7 @@ class Multigraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class EdgeSubset:
+class EdgeSubset(Record):
     """A subset of edge positions of a width-``m`` edge list, stored as a bit mask.
 
     Bit ``i`` of ``mask`` is set iff edge ``i`` is a member.
@@ -215,8 +280,7 @@ class Degree(NamedTuple):
     total: int
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Record):
     """Per-vertex (in, out) degree pairs with respect to one edge subset."""
 
     pairs: tuple[tuple[int, int], ...]

@@ -12,10 +12,9 @@ from ``graphs``, the one home of that arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Multigraph, SubsetLike, _edge_arrays, _imbalances, mask_indices, subset_mask
+from .graphs import Multigraph, Record, SubsetLike, _edge_arrays, _imbalances, mask_indices, subset_mask
 
 ORACLE_MAX_EDGES = 8
 
@@ -26,8 +25,7 @@ class FailureReason(str, Enum):
     DISCONNECTED = "disconnected"
 
 
-@dataclass(frozen=True)
-class TrailVerdict:
+class TrailVerdict(Record):
     """Decision result: when positive, ``witness`` orders the subset into a trail."""
 
     is_trail: bool

@@ -188,6 +188,15 @@ class TestEstimate:
         assert payload["ci_low"] <= payload["estimate"] <= payload["ci_high"]
         assert payload["seed"] == 11
 
+    def test_zero_estimate_inside_interval(self, capsys, tmp_path):
+        path = tmp_path / "edgeless.txt"
+        path.write_text("3 0\n")
+        code, out, _ = run(capsys, ["estimate", str(path), "--samples", "10", "--seed", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["estimate"] == 0.0
+        assert payload["ci_low"] == 0.0 <= payload["estimate"] <= payload["ci_high"]
+
     def test_invalid_confidence_exits_1(self, capsys, family4_file):
         code, _, err = run(
             capsys,
@@ -395,25 +404,48 @@ class TestInputErrors:
 
 
 class TestImports:
-    def test_only_estimate_loads_numpy(self, tmp_path, family4_file):
+    # Modules a command other than estimate must not load.
+    HEAVY = {"dataclasses", "inspect", "statistics", "numpy"}
+
+    @staticmethod
+    def added_modules(code: str) -> list[str]:
+        """Modules that ``code``, run in a fresh interpreter, adds to those ``site`` loaded."""
         src = str(Path(trailfrac.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        calls = [
-            ["count", family4_file],
-            ["check", family4_file, "--subset", "0,2", "--witness"],
-            ["eis", family4_file],
-            ["bounds", "--m", "64"],
-            ["scan", "--m-min", "4", "--m-max", "40"],
-            ["estimate", family4_file, "--samples", "100", "--seed", "1"],
-        ]
-        code = (
-            "import json, sys, trailfrac\n"
-            "from trailfrac.cli import main\n"
-            "loaded = ['numpy' in sys.modules]\n"
-            f"for argv in {calls!r}:\n"
-            f"    assert main(argv + ['--out', {str(tmp_path / 'out.txt')!r}]) == 0\n"
-            "    loaded.append('numpy' in sys.modules)\n"
-            "print(json.dumps(loaded))\n"
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"{code}\n"
+            "added = sorted(set(sys.modules) - before)\n"
+            "print(' '.join(added))\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert json.loads(out.stdout) == [False] * 6 + [True]
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        return out.stdout.split()
+
+    def test_bare_import_loads_no_submodule(self):
+        added = self.added_modules("import trailfrac")
+        assert "trailfrac" in added
+        assert not [m for m in added if m.startswith("trailfrac.")]
+        assert not self.HEAVY & set(added)
+        added = self.added_modules("import trailfrac\ntrailfrac.counting.count_trails_exact")
+        assert {m for m in added if m.startswith("trailfrac.")} == {"trailfrac.counting", "trailfrac.graphs"}
+
+    def test_only_estimate_loads_numpy(self, tmp_path, family4_file):
+        calls = [
+            (["count", family4_file], {"counting"}),
+            (["check", family4_file, "--subset", "0,2", "--witness"], {"trails"}),
+            (["eis", family4_file], {"eis"}),
+            (["bounds", "--m", "64"], {"bounds", "counting"}),
+            (["scan", "--m-min", "4", "--m-max", "40"], {"bounds", "counting"}),
+            (["gen", "family", "--m", "4"], {"generators"}),
+            (["estimate", family4_file, "--samples", "100", "--seed", "1"], {"counting"}),
+        ]
+        for argv, used in calls:
+            argv = argv + ["--out", str(tmp_path / "out.txt")]
+            added = set(self.added_modules(f"from trailfrac.cli import main\nassert main({argv!r}) == 0"))
+            own = {m for m in added if m.split(".")[0] == "trailfrac"}
+            assert own == {"trailfrac", "trailfrac.cli", "trailfrac.graphs"} | {f"trailfrac.{m}" for m in used}, argv
+            if argv[0] == "estimate":
+                assert "numpy" in added
+            else:
+                assert not self.HEAVY & added, argv

