@@ -28,7 +28,7 @@ def _parse_subset_arg(text: str) -> list[int]:
     if not text:
         return []
     try:
-        return _decimal_ints(tok.strip() for tok in text.split(","))
+        return list(_decimal_ints([tok.strip() for tok in text.split(",")]))
     except ValueError:
         raise ValueError(f"invalid --subset value {text!r}: expected comma-separated unsigned decimal integers") from None
 
@@ -322,14 +322,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         output = _HANDLERS[args.command](args)
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
+            return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_path = getattr(args, "out", None)
-    if out_path:
-        Path(out_path).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
+    sys.stdout.write(output)
     return 0
 
 

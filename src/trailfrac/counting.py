@@ -31,15 +31,12 @@ import heapq
 import math
 import time
 from collections import Counter
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
-from typing import TYPE_CHECKING, Callable
 
 from .graphs import Multigraph, Record, _edge_arrays
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Live frontier states allowed after any step of the exact count. The densest
 # graph tried, gen_random_multigraph(8, 80, 1), peaks at 1.3e5 states and
@@ -79,14 +76,7 @@ class EstimateReport(Record):
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "confidence": self.confidence,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return dict(self.__dict__)
 
 
 class FamilyCount(Record):

@@ -14,7 +14,7 @@ sequence costs O((n + m) log n).
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .graphs import Multigraph, Record
 
@@ -46,7 +46,8 @@ def greedy_eis(g: Multigraph) -> EisSequence:
     packed into one int, so they follow the tie-break above exactly. Each step
     pushes one fresh entry per surviving neighbour, whatever the number of
     parallel edges it lost, and entries are never removed: a popped entry
-    whose vertex is gone is skipped.
+    whose vertex is gone is skipped. An edge leaves both endpoints' sets at
+    once, so the far end of a listed edge is always live.
     Degrees only fall, so a live vertex's current entry is smaller than its
     stale ones and always pops first. A pair of adjacent vertices causes at
     most one push, so the heap holds at most n + min(m, n²) entries and the
@@ -78,9 +79,7 @@ def greedy_eis(g: Multigraph) -> EisSequence:
         for e in dropped:
             s, t = edges[e]
             u = t if s == v else s
-            live = remaining.get(u)
-            if live is None:
-                continue
+            live = remaining[u]
             live.discard(e)
             if live:
                 lowered.add(u)
@@ -94,7 +93,7 @@ def greedy_eis(g: Multigraph) -> EisSequence:
     return EisSequence(tuple(vertices), tuple(fresh_edges), tuple(eliminated))
 
 
-def verify_eis(g: Multigraph, seq: Union[EisSequence, Iterable[int]]) -> bool:
+def verify_eis(g: Multigraph, seq: EisSequence | Iterable[int]) -> bool:
     """Check the edge-increasing property for an arbitrary vertex sequence.
 
     Every vertex after the first must contribute an edge not incident to the

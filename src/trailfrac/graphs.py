@@ -6,14 +6,17 @@ distinguishable and edge subsets are sets of positions. Self-loops are
 forbidden. All types here are immutable and all operations are pure, so
 values can be shared freely across workers.
 
-``trails`` and ``counting`` build on its ``_edge_arrays``, ``trails`` also on
-its ``_imbalances``. Each degree helper decodes its subset once, in time
-linear in ``m``. Every value type of the package derives from its ``Record``.
+``parse_graph`` checks the edge lines in bulk, and reruns the same token and
+endpoint rules (``_decimal_ints``, ``_endpoint_fault``) line by line only to
+name the first bad line. ``trails`` and ``counting`` build on ``_edge_arrays``,
+``trails`` also on ``_imbalances``. Each degree helper decodes its subset
+once, in time linear in ``m``. Every value type derives from ``Record``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Union
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 
 class Record:
@@ -84,9 +87,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Edge(NamedTuple):
-    source: int
-    target: int
+Edge = namedtuple("Edge", "source target")
 
 
 class GraphFormatError(ValueError):
@@ -111,10 +112,8 @@ class Multigraph(Record):
             return
         # Find the first offending edge for the message.
         for i, (s, t) in enumerate(edges):
-            if not (0 <= s < n) or not (0 <= t < n):
-                raise ValueError(f"edge {i}: endpoint ({s}, {t}) out of range for n={n}")
-            if s == t:
-                raise ValueError(f"edge {i}: self-loop at vertex {s} is forbidden")
+            if fault := _endpoint_fault(s, t, n):
+                raise ValueError(f"edge {i}: {fault}")
 
     @property
     def m(self) -> int:
@@ -163,7 +162,16 @@ class EdgeSubset(Record):
         return 0 <= i < self.width and bool(self.mask >> i & 1)
 
 
-SubsetLike = Union[EdgeSubset, Iterable[int]]
+SubsetLike = EdgeSubset | Iterable[int]
+
+
+def _endpoint_fault(s: int, t: int, n: int) -> str | None:
+    """Why ``s -> t`` is not an edge of a graph on vertices ``0..n-1``, or None if it is."""
+    if not (0 <= s < n and 0 <= t < n):
+        return f"endpoint ({s}, {t}) out of range for n={n}"
+    if s == t:
+        return f"self-loop at vertex {s} is forbidden"
+    return None
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -180,19 +188,18 @@ def subset_mask(g: Multigraph, subset: SubsetLike) -> int:
     return EdgeSubset.from_indices(subset, g.m).mask
 
 
-def _decimal_ints(tokens: Iterable[str]) -> list[int]:
-    """The tokens as integers; ``ValueError`` unless each is a run of ASCII digits.
+def _decimal_ints(tokens: list[str]) -> Iterator[int]:
+    """The tokens as integers, converted lazily; ``ValueError`` unless each is a run of ASCII digits.
 
     ``int`` alone also takes signs, underscores, surrounding blanks and
     non-ASCII digits, so ``+0``, ``1_0`` or full-width and Arabic-Indic digits
-    would silently alias an index. Runs longer than the interpreter's
-    int-to-str digit limit still raise ``ValueError`` from ``int``.
+    would silently alias an index. The joined tokens are tested once, at C
+    level; ``int`` still raises on an empty token or an overlong run.
     """
-    tokens = list(tokens)
-    for token in tokens:
-        if not (token.isascii() and token.isdigit()):
-            raise ValueError(f"{token!r} is not a run of ASCII digits")
-    return [int(token) for token in tokens]
+    digits = "".join(tokens)
+    if digits and not (digits.isascii() and digits.isdigit()):
+        raise ValueError("a token is not a run of ASCII digits")
+    return map(int, tokens)
 
 
 def parse_graph(text: str) -> Multigraph:
@@ -204,8 +211,8 @@ def parse_graph(text: str) -> Multigraph:
     of appearance.
 
     The edge lines are checked and converted in bulk (``_bulk_edges``); if
-    that or the graph's own check fails, ``_edges_by_line`` reruns them one
-    at a time to name the first offending line.
+    that or the graph's own check fails, some single line fails the same
+    checks, which rerun one line at a time to name it.
     """
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if "#" in text:
@@ -225,46 +232,33 @@ def parse_graph(text: str) -> Multigraph:
     try:
         return Multigraph(n, _bulk_edges(body))
     except ValueError:
-        return Multigraph(n, _edges_by_line(body, n))
+        for k, ln in enumerate(body):
+            try:
+                ((s, t),) = _bulk_edges([ln])
+            except ValueError as exc:
+                raise GraphFormatError(f"edge line {k}: malformed {ln!r}, {exc}") from None
+            if fault := _endpoint_fault(s, t, n):
+                raise GraphFormatError(f"edge line {k}: {fault}") from None
+        raise
 
 
 def _bulk_edges(body: list[str]) -> tuple[Edge, ...]:
     """The edges of the ``src dst`` lines, by C-level string and int operations.
 
     ``ValueError`` unless every line holds exactly two tokens and every token
-    is a run of ASCII digits short enough for ``int``. Endpoints are left to
-    the ``Multigraph`` check.
+    is a run of ASCII digits short enough for ``int``; its message is the tail
+    of the parse error. Endpoints are left to the ``Multigraph`` check.
     """
     if not body:
         return ()
     if set(map(len, map(str.split, body))) != {2}:
-        raise ValueError("an edge line does not hold two tokens")
-    tokens = " ".join(body).split()
-    digits = "".join(tokens)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("an edge line holds a token that is not a run of ASCII digits")
-    ends = iter(map(int, tokens))
-    # tuple.__new__(Edge, pair) is what Edge(s, t) runs, without the Python-level call.
-    return tuple(map(tuple.__new__, [Edge] * len(body), zip(ends, ends)))
-
-
-def _edges_by_line(body: list[str], n: int) -> tuple[Edge, ...]:
-    """The edges of the ``src dst`` lines; ``GraphFormatError`` naming the first bad line."""
-    edges = []
-    for k, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected 'src dst'")
-        try:
-            s, t = _decimal_ints(parts)
-        except ValueError:
-            raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected two unsigned decimal integers") from None
-        if s >= n or t >= n:
-            raise GraphFormatError(f"edge line {k}: endpoint ({s}, {t}) out of range for n={n}")
-        if s == t:
-            raise GraphFormatError(f"edge line {k}: self-loop at vertex {s} is forbidden")
-        edges.append(Edge(s, t))
-    return tuple(edges)
+        raise ValueError("expected 'src dst'")
+    try:
+        ends = _decimal_ints(" ".join(body).split())
+        # tuple.__new__(Edge, pair) is what Edge(s, t) runs, without the Python-level call.
+        return tuple(map(tuple.__new__, [Edge] * len(body), zip(ends, ends)))
+    except ValueError:
+        raise ValueError("expected two unsigned decimal integers") from None
 
 
 def serialize_graph(g: Multigraph) -> str:
@@ -274,10 +268,7 @@ def serialize_graph(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-class Degree(NamedTuple):
-    in_degree: int
-    out_degree: int
-    total: int
+Degree = namedtuple("Degree", "in_degree out_degree total")
 
 
 class DegreeProfile(Record):

@@ -5,8 +5,9 @@ component and the per-vertex imbalances (out minus in) are either all zero or
 exactly one ``+1`` and one ``-1``. :func:`is_trail` applies that
 characterization and constructs a witness; :func:`oracle_is_trail` is the
 brute-force ground truth that tries every ordering, kept deliberately naive so
-the fast path can be validated against it. Edge arrays and imbalances come
-from ``graphs``, the one home of that arithmetic.
+the fast path can be validated against it. The witness is Hierholzer's walk
+(1873) over out-edge lists in descending index order, so popping a list takes
+its lowest unused edge. Edge arrays and imbalances come from ``graphs``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ def _balance_counts(imbalances: dict[int, int]) -> tuple[int, int] | None:
 
 def _connected(src: list[int], dst: list[int], idx: list[int]) -> bool:
     """True iff all listed edges lie in one weak component (nonempty list)."""
-    if not idx:
-        return False
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -79,7 +78,7 @@ def _hierholzer(src: list[int], dst: list[int], idx: list[int], imbalances: dict
     cycles so the full subset is consumed.
     """
     out: dict[int, list[int]] = {}
-    for j in idx:  # ascending order keeps adjacency lists index-sorted
+    for j in reversed(idx):  # descending, so each list's end is its lowest edge
         out.setdefault(src[j], []).append(j)
 
     start = None
@@ -90,17 +89,13 @@ def _hierholzer(src: list[int], dst: list[int], idx: list[int], imbalances: dict
     if start is None:
         start = src[idx[0]]
 
-    ptr = dict.fromkeys(out, 0)
     vertex_stack = [start]
     edge_stack: list[int] = []
     reversed_trail: list[int] = []
     while vertex_stack:
-        v = vertex_stack[-1]
-        lst = out.get(v)
-        p = ptr.get(v, 0)
-        if lst is not None and p < len(lst):
-            ptr[v] = p + 1
-            e = lst[p]
+        lst = out.get(vertex_stack[-1])
+        if lst:
+            e = lst.pop()
             edge_stack.append(e)
             vertex_stack.append(dst[e])
         else:

@@ -2,10 +2,8 @@
 
 The oracles here are deliberately self-contained (no imports from the
 library's decision logic) so tests compare two independent routes. The
-exceptions are ``enumerate_d``, which drives the estimator's numpy kernel over
-every subset: it shares no code with the frontier count it checks; and
-``reference_parse_graph``, which shares only the token check
-``graphs._decimal_ints`` with the bulk parser it checks.
+exception is ``enumerate_d``, which drives the estimator's numpy kernel over
+every subset: it shares no code with the frontier count it checks.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 
 from trailfrac import Multigraph, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
 from trailfrac.counting import _block_size, _trail_kernel
-from trailfrac.graphs import Edge, GraphFormatError, _decimal_ints, _edge_arrays
+from trailfrac.graphs import Edge, GraphFormatError, _edge_arrays
 
 
 def perm_oracle(g: Multigraph, indices) -> bool:
@@ -159,10 +157,20 @@ def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(vertices), tuple(fresh_edges), tuple(eliminated)
 
 
+def reference_decimal_ints(tokens) -> list[int]:
+    """The tokens as integers, checked one at a time: ``ValueError`` unless each is a run of ASCII digits."""
+    tokens = list(tokens)
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"{token!r} is not a run of ASCII digits")
+    return [int(token) for token in tokens]
+
+
 def reference_parse_graph(text: str) -> Multigraph:
     """``trailfrac.parse_graph`` as it was before bulk parsing: one edge line at a time.
 
-    Same format, same graphs, same ``GraphFormatError`` messages.
+    Same format, same graphs, same ``GraphFormatError`` messages. Tokens go
+    through :func:`reference_decimal_ints`, not the library's token check.
     """
     lines = [ln for raw in text.splitlines() if (ln := raw.strip()) and not ln.startswith("#")]
     if not lines:
@@ -171,7 +179,7 @@ def reference_parse_graph(text: str) -> Multigraph:
     if len(header) != 2:
         raise GraphFormatError(f"malformed header {lines[0]!r}: expected 'n m'")
     try:
-        n, m = _decimal_ints(header)
+        n, m = reference_decimal_ints(header)
     except ValueError:
         raise GraphFormatError(f"malformed header {lines[0]!r}: expected two unsigned decimal integers") from None
     body = lines[1:]
@@ -183,7 +191,7 @@ def reference_parse_graph(text: str) -> Multigraph:
         if len(parts) != 2:
             raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected 'src dst'")
         try:
-            s, t = _decimal_ints(parts)
+            s, t = reference_decimal_ints(parts)
         except ValueError:
             raise GraphFormatError(f"edge line {k}: malformed {ln!r}, expected two unsigned decimal integers") from None
         if s >= n or t >= n:
@@ -192,6 +200,43 @@ def reference_parse_graph(text: str) -> Multigraph:
             raise GraphFormatError(f"edge line {k}: self-loop at vertex {s} is forbidden")
         edges.append(Edge(s, t))
     return Multigraph(n, tuple(edges))
+
+
+def reference_hierholzer(g: Multigraph, indices) -> tuple[int, ...]:
+    """Trail order of a feasible subset by Hierholzer's walk with a read pointer per vertex.
+
+    The original of ``trailfrac.trails._hierholzer``: each vertex's out-edges
+    are listed in ascending index order and a pointer marks the next unused
+    one, so the walk always extends by the lowest unused edge. Open trails
+    start at the +1 vertex, closed ones at the source of the lowest edge.
+    """
+    idx = sorted(indices)
+    out: dict[int, list[int]] = {}
+    imbalance: dict[int, int] = {}
+    for j in idx:
+        s, t = g.edges[j]
+        out.setdefault(s, []).append(j)
+        imbalance[s] = imbalance.get(s, 0) + 1
+        imbalance[t] = imbalance.get(t, 0) - 1
+    start = next((v for v, x in imbalance.items() if x == 1), g.edges[idx[0]].source)
+    ptr = dict.fromkeys(out, 0)
+    vertex_stack = [start]
+    edge_stack: list[int] = []
+    reversed_trail: list[int] = []
+    while vertex_stack:
+        v = vertex_stack[-1]
+        lst = out.get(v)
+        p = ptr.get(v, 0)
+        if lst is not None and p < len(lst):
+            ptr[v] = p + 1
+            e = lst[p]
+            edge_stack.append(e)
+            vertex_stack.append(g.edges[e].target)
+        else:
+            vertex_stack.pop()
+            if edge_stack:
+                reversed_trail.append(edge_stack.pop())
+    return tuple(reversed(reversed_trail))
 
 
 def reference_degree(g: Multigraph, v: int, mask: int | None = None) -> tuple[int, int, int]:

@@ -259,6 +259,11 @@ class TestBoundReport:
         assert report.family_f == Fraction(count_family_closed_form(16).total, 1 << 16)
         assert report.ratio == pytest.approx(float(report.family_f) * 4.0)
 
+    @pytest.mark.parametrize("m", [2, 4, 6, 64, 1024, 3000])
+    def test_family_matches_closed_form(self, m):
+        # bound_report's d comes from bounds._family_d, the closed form from math.comb alone.
+        assert bound_report(m).family_f == Fraction(count_family_closed_form(m).total, 1 << m)
+
     def test_odd_m_family_absent(self):
         report = bound_report(9)
         assert report.family_f is None

@@ -88,6 +88,12 @@ class TestGen:
         assert code == 1
         assert "error:" in err
 
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.txt"
+        code, out, err = run(capsys, ["gen", "family", "--m", "4", "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(target) in err
+
 
 class TestCheck:
     def test_disconnected_subset_text(self, capsys, path3_file):
@@ -173,6 +179,12 @@ class TestCount:
         else:
             d = int(Decimal(out.splitlines()[1].split(",")[1]))
         assert d == count_family_closed_form(16_000).total
+
+    def test_unwritable_out_exits_1(self, capsys, family4_file, tmp_path):
+        target = tmp_path / "missing" / "count.json"
+        code, out, err = run(capsys, ["count", family4_file, "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(target) in err
 
 
 class TestEstimate:
@@ -307,6 +319,58 @@ class TestBounds:
         assert Fraction(int(Decimal(numerator)), int(Decimal(denominator))) == f
 
 
+# Outputs of renderers no other test reads, recorded before the edge-list,
+# witness-walk and estimate-report code was cut down. The graph files are
+# written by the ``golden_files`` fixture.
+GOLDEN_RENDERINGS = [
+    (
+        ["estimate", "random5", "--samples", "5000", "--seed", "7", "--format", "text"],
+        "estimate: 0.1376\n95% CI: [0.12832951333857903, 0.1474269170311984]\nsamples: 5000\nseed: 7\n",
+    ),
+    (
+        ["estimate", "random5", "--samples", "5000", "--seed", "7", "--format", "csv"],
+        "estimate,ci_low,ci_high,confidence,samples,seed\n0.1376,0.12832951333857903,0.1474269170311984,0.95,5000,7\n",
+    ),
+    (
+        ["eis", "random8", "--format", "text"],
+        "vertices: 6 7 1 0 3 2 4\nfresh edges: 2 9 0 5 4 3 8\nlength: 7 (non-isolated vertices: 8, bound ok)\n",
+    ),
+    (
+        ["check", "family4", "--subset", "0,1,2,3", "--witness", "--oracle", "--format", "text"],
+        "trail\nwitness: 0 2 1 3\noracle: trail (agrees)\n",
+    ),
+    (
+        ["check", "path3", "--subset", "0,2", "--witness", "--oracle", "--format", "text"],
+        "not a trail: disconnected\noracle: not a trail (agrees)\n",
+    ),
+    (
+        ["check", "family4", "--subset", "0,2,3", "--witness", "--format", "csv"],
+        "m,subset,is_trail,failure_reason,witness\n4,0 2 3,true,,2 0 3\n",
+    ),
+    (
+        ["check", "path3", "--subset", "0,2", "--witness", "--format", "csv"],
+        "m,subset,is_trail,failure_reason,witness\n3,0 2,false,disconnected,\n",
+    ),
+    (["gen", "cycle", "--k", "5"], "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"),
+]
+
+
+@pytest.fixture()
+def golden_files(tmp_path, family4_file, path3_file):
+    files = {"family4": family4_file, "path3": path3_file}
+    for name, g in [("random5", gen_random_multigraph(5, 12, 3)), ("random8", gen_random_multigraph(8, 20, 2))]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize_graph(g))
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_RENDERINGS, ids=["-".join(argv) for argv, _ in GOLDEN_RENDERINGS])
+def test_golden_renderings(capsys, golden_files, argv, expected):
+    code, out, err = run(capsys, [golden_files.get(arg, arg) for arg in argv])
+    assert (code, out, err) == (0, expected, "")
+
+
 class TestDispatch:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -408,8 +472,8 @@ class TestImports:
     HEAVY = {"dataclasses", "inspect", "statistics", "numpy"}
 
     @staticmethod
-    def added_modules(code: str) -> list[str]:
-        """Modules that ``code``, run in a fresh interpreter, adds to those ``site`` loaded."""
+    def added_modules(code: str, *flags: str) -> list[str]:
+        """Modules that ``code``, run in a fresh interpreter with ``flags``, adds to those ``site`` loaded."""
         src = str(Path(trailfrac.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         script = (
@@ -419,7 +483,7 @@ class TestImports:
             "added = sorted(set(sys.modules) - before)\n"
             "print(' '.join(added))\n"
         )
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True)
         return out.stdout.split()
 
     def test_bare_import_loads_no_submodule(self):
@@ -435,8 +499,8 @@ class TestImports:
             (["count", family4_file], {"counting"}),
             (["check", family4_file, "--subset", "0,2", "--witness"], {"trails"}),
             (["eis", family4_file], {"eis"}),
-            (["bounds", "--m", "64"], {"bounds", "counting"}),
-            (["scan", "--m-min", "4", "--m-max", "40"], {"bounds", "counting"}),
+            (["bounds", "--m", "64"], {"bounds"}),
+            (["scan", "--m-min", "4", "--m-max", "40"], {"bounds"}),
             (["gen", "family", "--m", "4"], {"generators"}),
             (["estimate", family4_file, "--samples", "100", "--seed", "1"], {"counting"}),
         ]
@@ -449,3 +513,16 @@ class TestImports:
                 assert "numpy" in added
             else:
                 assert not self.HEAVY & added, argv
+
+    def test_commands_load_no_typing(self, tmp_path, family4_file):
+        # -S keeps site, and any .pth file it runs, from loading typing first.
+        calls = [
+            ["count", family4_file],
+            ["check", family4_file, "--subset", "0,2", "--witness"],
+            ["eis", family4_file],
+            ["bounds", "--m", "64"],
+        ]
+        for argv in calls:
+            argv = argv + ["--out", str(tmp_path / "out.txt")]
+            code = f"from trailfrac.cli import main\nassert main({argv!r}) == 0"
+            assert "typing" not in self.added_modules(code, "-S"), argv

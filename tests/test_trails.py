@@ -18,7 +18,7 @@ from trailfrac import (
     witness_trail,
 )
 
-from helpers import all_subsets, chains, perm_oracle, two_disjoint_two_cycles
+from helpers import all_subsets, chains, perm_oracle, reference_hierholzer, two_disjoint_two_cycles
 
 WALK_EDGES = 60_000
 # sha256 of repr(witness) for the whole walk below and for the walk without
@@ -96,6 +96,29 @@ def walks_at_scale(draw):
             for j in rng.sample(subset, draw(st.integers(1, 3))):
                 subset.remove(j)
     return g, subset
+
+
+@st.composite
+def trail_subsets(draw, max_n=7, max_m=14):
+    """A graph of at most ``max_m`` edges and the positions of a walk in it, which form a trail.
+
+    The walk, open or closed, is shuffled among stray edges, so the walk's
+    edges do not sit at consecutive positions.
+    """
+    n = draw(st.integers(2, max_n))
+    length = draw(st.integers(1, max_m))
+    walk = [draw(st.integers(0, n - 1))]
+    for _ in range(length):
+        walk.append((walk[-1] + draw(st.integers(1, n - 1))) % n)
+    if length > 1 and draw(st.booleans()) and walk[-2] != walk[0]:
+        walk[-1] = walk[0]
+    edges = [(walk[i], walk[i + 1], True) for i in range(length)]
+    for _ in range(draw(st.integers(0, max_m - length))):
+        s = draw(st.integers(0, n - 1))
+        edges.append((s, (s + draw(st.integers(1, n - 1))) % n, False))
+    edges = draw(st.permutations(edges))
+    g = Multigraph(n, tuple((s, t) for s, t, _ in edges))
+    return g, [j for j, (_, _, on_walk) in enumerate(edges) if on_walk]
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +204,22 @@ class TestWitness:
 
     def test_absent_for_non_trail(self):
         assert witness_trail(gen_family(4), [0, 1]) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(trail_subsets())
+    def test_matches_pointer_walk(self, case):
+        g, subset = case
+        verdict = is_trail(g, subset)
+        assert verdict.is_trail
+        assert verdict.witness == reference_hierholzer(g, subset)
+
+    @settings(max_examples=20, deadline=None)
+    @given(walks_at_scale())
+    def test_matches_pointer_walk_at_scale(self, case):
+        g, subset = case
+        verdict = is_trail(g, subset)
+        if verdict.is_trail:
+            assert verdict.witness == reference_hierholzer(g, subset)
 
 
 class TestNecessaryBalance:
