@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .graphs import _decimal_ints, parse_graph, serialize_graph
 
 
 def _load_graph(path: str):
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return parse_graph(f.read())
 
 
 def _parse_subset_arg(text: str) -> list[int]:
@@ -323,7 +323,8 @@ def main(argv=None) -> int:
     try:
         output = _HANDLERS[args.command](args)
         if args.out:
-            Path(args.out).write_text(output, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(output)
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

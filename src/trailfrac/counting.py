@@ -88,11 +88,6 @@ class FamilyCount(Record):
     total: int
 
 
-def _block_size(src: list[int], dst: list[int]) -> int:
-    """Subsets per kernel block: about ``_BLOCK_CELLS`` bytes of packed words in all."""
-    return max(1, _BLOCK_CELLS // (8 * max(1, -(-len(src) // 64))))
-
-
 def _trail_kernel(src: list[int], dst: list[int]) -> Callable[[np.ndarray], int]:
     """The batched trail decision for the graph with edges ``src[j] -> dst[j]``.
 
@@ -291,8 +286,10 @@ def _retire(states: dict, p: int) -> tuple[dict, int]:
     ends. Returns the surviving states and the weight of the subsets
     completed here: when the vertex was its component's last frontier
     vertex, the component is finished, so the state ends as a trail if no
-    other frontier vertex is touched and its +1 and -1 ends pair up, and is
-    dropped otherwise.
+    other frontier vertex is touched, and is dropped otherwise. Its +1 and -1
+    ends then always pair up: every touched vertex belongs to the finished
+    component and has retired with an imbalance in [-1, 1], so ``plus`` and
+    ``minus`` count exactly its +1 and -1 vertices, whose imbalances sum to 0.
     """
     new: dict = {}
     done = 0
@@ -306,7 +303,7 @@ def _retire(states: dict, p: int) -> tuple[dict, int]:
                 fate[labels] = (_canonical(rest), False)
         rest, alone = fate[labels]
         if rest is None:
-            if alone and plus == minus:
+            if alone:
                 done += w
             continue
         key = (imbs[:p] + imbs[p + 1 :], rest, plus, minus)
@@ -327,9 +324,8 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     decided edges that reach it. A state is dropped once some
     imbalance cannot return to [-1, 1]. When a component loses its last
     frontier vertex, the subsets of that state that take no further edge are
-    trails exactly when no other frontier vertex is touched and the +1 and -1
-    counts match. Isolated vertices never enter the frontier. The vertex
-    order changes the run time, never d.
+    trails exactly when no other frontier vertex is touched. Isolated vertices
+    never enter the frontier. The vertex order changes the run time, never d.
 
     Raises ``ValueError`` when more than ``EXACT_MAX_STATES`` states are live.
     """
@@ -429,7 +425,7 @@ def estimate_trail_fraction(
     m = g.m
     src, dst = _edge_arrays(g)
     words = max(1, -(-m // 64))
-    block = _block_size(src, dst)
+    block = max(1, _BLOCK_CELLS // (8 * words))
     philox = np.random.Philox(key=seed)
     count_trails = _trail_kernel(src, dst)
     successes = 0

@@ -34,17 +34,10 @@ class TrailVerdict(Record):
     failure_reason: FailureReason | None = None
 
 
-def _balance_counts(imbalances: dict[int, int]) -> tuple[int, int] | None:
-    """Numbers of vertices at +1 and at -1, or None when some |imbalance| > 1."""
-    plus = minus = 0
-    for x in imbalances.values():
-        if x == 1:
-            plus += 1
-        elif x == -1:
-            minus += 1
-        elif x:
-            return None
-    return plus, minus
+def _balanced(imbalances: dict[int, int]) -> bool:
+    """No |imbalance| > 1 and at most one vertex at +1; as the sum is 0, at most one is then at -1."""
+    values = list(imbalances.values())
+    return min(values, default=0) >= -1 and max(values, default=0) <= 1 and values.count(1) <= 1
 
 
 def _connected(src: list[int], dst: list[int], idx: list[int]) -> bool:
@@ -123,7 +116,7 @@ def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
     if not _connected(src, dst, idx):
         return TrailVerdict(False, None, FailureReason.DISCONNECTED)
     imbalances = _imbalances(src, dst, idx)
-    if _balance_counts(imbalances) not in ((0, 0), (1, 1)):
+    if not _balanced(imbalances):
         return TrailVerdict(False, None, FailureReason.DEGREE_IMBALANCE)
     return TrailVerdict(True, _hierholzer(src, dst, idx, imbalances), None)
 
@@ -162,5 +155,4 @@ def necessary_balance_condition(g: Multigraph, subset: SubsetLike) -> bool:
     """Balance test every trail must pass: at most one vertex at +1, one at -1, none beyond."""
     mask = subset_mask(g, subset)
     src, dst = _edge_arrays(g)
-    counts = _balance_counts(_imbalances(src, dst, mask_indices(mask)))
-    return counts is not None and max(counts) <= 1
+    return _balanced(_imbalances(src, dst, mask_indices(mask)))

@@ -12,8 +12,7 @@ import itertools
 
 import numpy as np
 
-from trailfrac import Multigraph, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
-from trailfrac.counting import _block_size, _trail_kernel
+from trailfrac import Multigraph, counting, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
 from trailfrac.graphs import Edge, GraphFormatError, _edge_arrays
 
 
@@ -59,11 +58,12 @@ def enumerate_d(g: Multigraph) -> int:
 
     Mask ``x`` is edge set {j : bit j of x is set}, which is how the kernel reads
     a one-word column, so blocks of consecutive masks go in as they are.
-    Block size follows ``counting._BLOCK_CELLS``. Practical up to m = 24 or so.
+    Block size follows ``counting._BLOCK_CELLS``, read at each call so a test
+    can shrink it. Practical up to m = 24 or so.
     """
     src, dst = _edge_arrays(g)
-    count_trails = _trail_kernel(src, dst)
-    block = _block_size(src, dst)
+    count_trails = counting._trail_kernel(src, dst)
+    block = max(1, counting._BLOCK_CELLS // 8)  # one word per mask
     return sum(
         count_trails(np.arange(start, min(start + block, 1 << g.m), dtype=np.uint64)[None])
         for start in range(0, 1 << g.m, block)

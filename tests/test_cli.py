@@ -526,3 +526,19 @@ class TestImports:
             argv = argv + ["--out", str(tmp_path / "out.txt")]
             code = f"from trailfrac.cli import main\nassert main({argv!r}) == 0"
             assert "typing" not in self.added_modules(code, "-S"), argv
+
+    def test_commands_load_no_pathlib(self, tmp_path, family4_file):
+        # pathlib loads urllib.parse and ipaddress; -S keeps a .pth file from loading it first.
+        # estimate is left out: numpy cannot be imported under -S.
+        calls = [
+            ["count", family4_file],
+            ["check", family4_file, "--subset", "0,2", "--witness"],
+            ["eis", family4_file],
+            ["bounds", "--m", "64"],
+            ["scan", "--m-min", "4", "--m-max", "40"],
+            ["gen", "family", "--m", "4"],
+        ]
+        for argv in calls:
+            argv = argv + ["--out", str(tmp_path / "out.txt")]
+            code = f"from trailfrac.cli import main\nassert main({argv!r}) == 0"
+            assert "pathlib" not in self.added_modules(code, "-S"), argv

@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -158,6 +159,37 @@ class TestValueTypes:
         assert CountReport(elapsed=0.25, f=Fraction(9, 16), d=9, m=4) == CountReport(4, 9, Fraction(9, 16), 0.25)
         assert EdgeSubset(width=3, mask=5).indices == (0, 2)
 
+    def test_signature_lists_fields_and_defaults(self):
+        want = {
+            Multigraph: "(vertex_count, edges)",
+            EdgeSubset: "(mask, width)",
+            DegreeProfile: "(pairs)",
+            TrailVerdict: "(is_trail, witness=None, failure_reason=None)",
+            CountReport: "(m, d, f, elapsed)",
+            EstimateReport: "(estimate, ci_low, ci_high, confidence, samples, seed)",
+            FamilyCount: "(m, even_count, odd_count, total)",
+            EisSequence: "(vertices, fresh_edges, eliminated_per_step)",
+            StirlingBounds: "(log_lower, log_upper)",
+            Case2TailCheck: "(exact_tail_bound, paper_bound, holds)",
+            FamilyRatioRow: "(m, d, f, f_sqrt_m, theorem_bound)",
+            BoundReport: "(m, theorem_value, family_f=None, ratio=None)",
+        }
+        assert {type(x) for x in _instances()} == set(want)
+        for kind, signature in want.items():
+            assert str(inspect.signature(kind)) == signature, kind
+
+    def test_positional_keyword_and_mixed_calls_agree(self):
+        for x in _instances():
+            kind, values = type(x), vars(x)
+            first, *rest = values
+            calls = [
+                kind(*values.values()),
+                kind(**values),
+                kind(values[first], **{name: values[name] for name in reversed(rest)}),
+            ]
+            for y in calls:
+                assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -166,6 +198,9 @@ class TestValueTypes:
             lambda: EdgeSubset(1, 2, width=2),
             lambda: EdgeSubset(mask=1, size=2),
             lambda: BoundReport(5),
+            lambda: BoundReport(1, 2, 3, 4, 5),
+            lambda: TrailVerdict(),
+            lambda: TrailVerdict(True, bogus=1),
         ],
     )
     def test_bad_arguments_raise_type_error(self, call):
