@@ -35,8 +35,9 @@ from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 
-from .graphs import Multigraph, Record, _edge_arrays
+from .graphs import Edge, Multigraph, Record, _is_int
 
 # Live frontier states allowed after any step of the exact count. The densest
 # graph tried, gen_random_multigraph(8, 80, 1), peaks at 1.3e5 states and
@@ -88,8 +89,8 @@ class FamilyCount(Record):
     total: int
 
 
-def _trail_kernel(src: list[int], dst: list[int]) -> Callable[[np.ndarray], int]:
-    """The batched trail decision for the graph with edges ``src[j] -> dst[j]``.
+def _trail_kernel(edges: tuple[Edge, ...]) -> Callable[[np.ndarray], int]:
+    """The batched trail decision for the graph whose edge ``j`` is ``edges[j]``.
 
     Returns ``count_trails(words)``, which takes a ``(W, B)`` uint64 block with
     W = ceil(m/64) (at least 1) whose column ``c`` is one subset: bit ``j % 64``
@@ -111,13 +112,13 @@ def _trail_kernel(src: list[int], dst: list[int]) -> Callable[[np.ndarray], int]
     """
     import numpy as np
 
-    m = len(src)
+    m = len(edges)
     masks: dict[int, dict[int, list[int]]] = {}
-    for j, (s, t) in enumerate(zip(src, dst)):
+    for j, (s, t) in enumerate(edges):
         bit = 1 << (j & 63)
         masks.setdefault(s, {}).setdefault(j >> 6, [0, 0])[0] |= bit
         masks.setdefault(t, {}).setdefault(j >> 6, [0, 0])[1] |= bit
-    degree = Counter(src) + Counter(dst)
+    degree = Counter(chain.from_iterable(edges))
     plan = [
         [(w, out, inn) for w, (out, inn) in sorted(masks[v].items())]
         for v in sorted(masks, key=lambda v: (-degree[v], v))
@@ -330,17 +331,16 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     Raises ``ValueError`` when more than ``EXACT_MAX_STATES`` states are live.
     """
     start = time.perf_counter()
-    classes: dict[tuple[int, int], list[int]] = {}
+    pairs = Counter(g.edges)
     adj: dict[int, set[int]] = {}
     # Undecided out- and in-edges of each vertex.
     outs: Counter[int] = Counter()
     ins: Counter[int] = Counter()
-    for s, t in g.edges:
-        classes.setdefault((min(s, t), max(s, t)), [0, 0])[s > t] += 1
+    for (s, t), k in pairs.items():
         adj.setdefault(s, set()).add(t)
         adj.setdefault(t, set()).add(s)
-        outs[s] += 1
-        ins[t] += 1
+        outs[s] += k
+        ins[t] += k
     frontier: list[int] = []
     states: dict = {((), (), 0, 0): 1}
     d = 0
@@ -349,7 +349,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
         frontier.append(x)
         for pu, u in enumerate(frontier[:-1]):
             if u in adj[x]:
-                a, b = classes[(u, x)] if u < x else classes[(x, u)][::-1]
+                a, b = pairs[u, x], pairs[x, u]
                 outs[u] -= a
                 ins[u] -= b
                 outs[x] -= b
@@ -414,20 +414,23 @@ def estimate_trail_fraction(
     the estimate is the fraction of sampled subsets that are trails. Results
     are bit-identical for a fixed (seed, samples) pair; seeds lie in [0, 2^64).
     """
+    if not _is_int(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     import numpy as np
 
     m = g.m
-    src, dst = _edge_arrays(g)
     words = max(1, -(-m // 64))
     block = max(1, _BLOCK_CELLS // (8 * words))
     philox = np.random.Philox(key=seed)
-    count_trails = _trail_kernel(src, dst)
+    count_trails = _trail_kernel(g.edges)
     successes = 0
     for done in range(0, samples, block):
         size = min(block, samples - done)

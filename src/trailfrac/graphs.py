@@ -8,15 +8,17 @@ values can be shared freely across workers.
 
 ``parse_graph`` checks the edge lines in bulk, and reruns the same token and
 endpoint rules (``_decimal_ints``, ``_endpoint_fault``) line by line only to
-name the first bad line. ``trails`` and ``counting`` build on ``_edge_arrays``,
-``trails`` also on ``_imbalances``. Each degree helper decodes its subset
-once, in time linear in ``m``. Every value type derives from ``Record``.
+name the first bad line. ``trails`` and ``counting`` read ``Multigraph.edges``
+as given; ``trails`` also uses ``_imbalances``. Each degree helper decodes its
+subset once, in time linear in ``m``. Every value type derives from ``Record``.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 
 class Record:
@@ -84,6 +86,8 @@ class Multigraph(Record):
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.vertex_count):
+            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         edges = self.edges
@@ -91,7 +95,10 @@ class Multigraph(Record):
             edges = tuple(Edge(*e) for e in edges)
             object.__setattr__(self, "edges", edges)
         n = self.vertex_count
-        if all(0 <= s < n and 0 <= t < n and s != t for s, t in edges):
+        # Endpoints of other types, bool and float among them, go through the full check below.
+        if set(map(type, chain.from_iterable(edges))) <= {int} and all(
+            0 <= s < n and 0 <= t < n and s != t for s, t in edges
+        ):
             return
         # Find the first offending edge for the message.
         for i, (s, t) in enumerate(edges):
@@ -114,6 +121,9 @@ class EdgeSubset(Record):
     width: int
 
     def __post_init__(self) -> None:
+        for name, value in self.__dict__.items():
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.width < 0:
             raise ValueError("width must be nonnegative")
         if not 0 <= self.mask < (1 << self.width):
@@ -124,6 +134,8 @@ class EdgeSubset(Record):
         one = ord("1")
         digits = bytearray(b"0" * width)  # binary digits, bit i at position width - 1 - i
         for i in indices:
+            if type(i) is not int and not _is_int(i):
+                raise ValueError(f"edge index {i!r} is not an integer")
             if not 0 <= i < width:
                 raise ValueError(f"edge index {i} out of range for m={width}")
             if digits[width - 1 - i] == one:
@@ -148,8 +160,23 @@ class EdgeSubset(Record):
 SubsetLike = EdgeSubset | Iterable[int]
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer: an ``int``, or a type ``operator.index`` takes, such as numpy's.
+
+    ``bool`` is not one, although it subclasses ``int``: ``True`` would alias 1.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 def _endpoint_fault(s: int, t: int, n: int) -> str | None:
     """Why ``s -> t`` is not an edge of a graph on vertices ``0..n-1``, or None if it is."""
+    for v in (s, t):
+        if not _is_int(v):
+            return f"endpoint {v!r} is not an integer"
     if not (0 <= s < n and 0 <= t < n):
         return f"endpoint ({s}, {t}) out of range for n={n}"
     if s == t:
@@ -266,15 +293,11 @@ class DegreeProfile(Record):
         return sum(p[1] for p in self.pairs)
 
 
-def _edge_arrays(g: Multigraph) -> tuple[list[int], list[int]]:
-    return [e.source for e in g.edges], [e.target for e in g.edges]
-
-
-def _imbalances(src: list[int], dst: list[int], idx: Iterable[int]) -> dict[int, int]:
+def _imbalances(edges: tuple[Edge, ...], idx: Iterable[int]) -> dict[int, int]:
     """Out-minus-in imbalance for every vertex touched by the listed edges."""
     imb: dict[int, int] = {}
     for j in idx:
-        s, t = src[j], dst[j]
+        s, t = edges[j]
         imb[s] = imb.get(s, 0) + 1
         imb[t] = imb.get(t, 0) - 1
     return imb
@@ -306,8 +329,7 @@ def degree_profile(g: Multigraph, subset: SubsetLike | None = None) -> DegreePro
 
 def imbalance_profile(g: Multigraph, subset: SubsetLike | None = None) -> tuple[int, ...]:
     """Per-vertex out-degree minus in-degree with respect to a subset; sums to zero."""
-    src, dst = _edge_arrays(g)
-    imb = _imbalances(src, dst, _members(g, subset))
+    imb = _imbalances(g.edges, _members(g, subset))
     return tuple(imb.get(v, 0) for v in range(g.vertex_count))
 
 

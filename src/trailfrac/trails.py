@@ -7,7 +7,7 @@ characterization and constructs a witness; :func:`oracle_is_trail` is the
 brute-force ground truth that tries every ordering, kept deliberately naive so
 the fast path can be validated against it. The witness is Hierholzer's walk
 (1873) over out-edge lists in descending index order, so popping a list takes
-its lowest unused edge. Edge arrays and imbalances come from ``graphs``.
+its lowest unused edge. Imbalances come from ``graphs``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .graphs import Multigraph, Record, SubsetLike, _edge_arrays, _imbalances, mask_indices, subset_mask
+from .graphs import Edge, Multigraph, Record, SubsetLike, _imbalances, mask_indices, subset_mask
 
 ORACLE_MAX_EDGES = 8
 
@@ -40,7 +40,7 @@ def _balanced(imbalances: dict[int, int]) -> bool:
     return min(values, default=0) >= -1 and max(values, default=0) <= 1 and values.count(1) <= 1
 
 
-def _connected(src: list[int], dst: list[int], idx: list[int]) -> bool:
+def _connected(edges: tuple[Edge, ...], idx: list[int]) -> bool:
     """True iff all listed edges lie in one weak component (nonempty list)."""
     parent: dict[int, int] = {}
 
@@ -52,18 +52,19 @@ def _connected(src: list[int], dst: list[int], idx: list[int]) -> bool:
 
     touched = merges = 0
     for j in idx:
-        for v in (src[j], dst[j]):
+        s, t = edges[j]
+        for v in (s, t):
             if v not in parent:
                 parent[v] = v
                 touched += 1
-        ra, rb = find(src[j]), find(dst[j])
+        ra, rb = find(s), find(t)
         if ra != rb:
             parent[ra] = rb
             merges += 1
     return touched - merges == 1
 
 
-def _hierholzer(src: list[int], dst: list[int], idx: list[int], imbalances: dict[int, int]) -> tuple[int, ...]:
+def _hierholzer(edges: tuple[Edge, ...], idx: list[int], imbalances: dict[int, int]) -> tuple[int, ...]:
     """Order a feasible ascending edge list into a trail, extending by lowest edge index first.
 
     Open trails start at the unique ``+1`` vertex; closed trails start at the
@@ -72,7 +73,7 @@ def _hierholzer(src: list[int], dst: list[int], idx: list[int], imbalances: dict
     """
     out: dict[int, list[int]] = {}
     for j in reversed(idx):  # descending, so each list's end is its lowest edge
-        out.setdefault(src[j], []).append(j)
+        out.setdefault(edges[j][0], []).append(j)
 
     start = None
     for v, x in imbalances.items():
@@ -80,7 +81,7 @@ def _hierholzer(src: list[int], dst: list[int], idx: list[int], imbalances: dict
             start = v
             break
     if start is None:
-        start = src[idx[0]]
+        start = edges[idx[0]][0]
 
     vertex_stack = [start]
     edge_stack: list[int] = []
@@ -90,7 +91,7 @@ def _hierholzer(src: list[int], dst: list[int], idx: list[int], imbalances: dict
         if lst:
             e = lst.pop()
             edge_stack.append(e)
-            vertex_stack.append(dst[e])
+            vertex_stack.append(edges[e][1])
         else:
             vertex_stack.pop()
             if edge_stack:
@@ -111,14 +112,13 @@ def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
     mask = subset_mask(g, subset)
     if mask == 0:
         return TrailVerdict(False, None, FailureReason.EMPTY_SUBSET)
-    src, dst = _edge_arrays(g)
     idx = mask_indices(mask)
-    if not _connected(src, dst, idx):
+    if not _connected(g.edges, idx):
         return TrailVerdict(False, None, FailureReason.DISCONNECTED)
-    imbalances = _imbalances(src, dst, idx)
+    imbalances = _imbalances(g.edges, idx)
     if not _balanced(imbalances):
         return TrailVerdict(False, None, FailureReason.DEGREE_IMBALANCE)
-    return TrailVerdict(True, _hierholzer(src, dst, idx, imbalances), None)
+    return TrailVerdict(True, _hierholzer(g.edges, idx, imbalances), None)
 
 
 def witness_trail(g: Multigraph, subset: SubsetLike) -> tuple[int, ...] | None:
@@ -154,5 +154,4 @@ def oracle_is_trail(g: Multigraph, subset: SubsetLike) -> bool:
 def necessary_balance_condition(g: Multigraph, subset: SubsetLike) -> bool:
     """Balance test every trail must pass: at most one vertex at +1, one at -1, none beyond."""
     mask = subset_mask(g, subset)
-    src, dst = _edge_arrays(g)
-    return _balanced(_imbalances(src, dst, mask_indices(mask)))
+    return _balanced(_imbalances(g.edges, mask_indices(mask)))

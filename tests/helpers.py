@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from trailfrac import Multigraph, counting, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
-from trailfrac.graphs import Edge, GraphFormatError, _edge_arrays
+from trailfrac.graphs import Edge, GraphFormatError
 
 
 def perm_oracle(g: Multigraph, indices) -> bool:
@@ -61,8 +61,7 @@ def enumerate_d(g: Multigraph) -> int:
     Block size follows ``counting._BLOCK_CELLS``, read at each call so a test
     can shrink it. Practical up to m = 24 or so.
     """
-    src, dst = _edge_arrays(g)
-    count_trails = counting._trail_kernel(src, dst)
+    count_trails = counting._trail_kernel(g.edges)
     block = max(1, counting._BLOCK_CELLS // 8)  # one word per mask
     return sum(
         count_trails(np.arange(start, min(start + block, 1 << g.m), dtype=np.uint64)[None])

@@ -27,7 +27,6 @@ from trailfrac import (
     wilson_interval,
 )
 from trailfrac.counting import _trail_kernel
-from trailfrac.graphs import _edge_arrays
 
 from helpers import brute_force_d, enumerate_d, numpy_reference_d, pack_columns, small_corpus, two_disjoint_two_cycles
 
@@ -192,8 +191,7 @@ class TestConnectivity:
     @given(graphs_with_blocks())
     def test_block_count_matches_is_trail(self, case):
         g, bits = case
-        src, dst = _edge_arrays(g)
-        assert _trail_kernel(src, dst)(pack_columns(bits)) == sum(
+        assert _trail_kernel(g.edges)(pack_columns(bits)) == sum(
             is_trail(g, np.flatnonzero(column).tolist()).is_trail for column in bits.T
         )
 
@@ -202,7 +200,7 @@ class TestConnectivity:
     def test_columns_match_networkx(self, case):
         nx = pytest.importorskip("networkx")
         g, bits = case
-        count_trails = _trail_kernel(*_edge_arrays(g))
+        count_trails = _trail_kernel(g.edges)
         words = pack_columns(bits)
         want = []
         for column in bits.T:
@@ -226,14 +224,14 @@ class TestConnectivity:
         bits[:k, 1] = 1
         words = pack_columns(bits)
         assert words.shape == (625, 3)
-        assert _trail_kernel([s for s, _ in edges], [t for _, t in edges])(words) == 1
+        assert _trail_kernel(edges)(words) == 1
 
     @pytest.mark.parametrize("k", [127, 128, 129, 255, 256])
     def test_imbalance_does_not_wrap(self, k):
         # k parallel edges 0 -> 1, all present: the two vertices sit at +k and
         # -k, which an 8-bit imbalance would wrap for k = 128.
         words = np.full((-(-k // 64), 1), 2**64 - 1, dtype=np.uint64)
-        assert _trail_kernel([0] * k, [1] * k)(words) == 0
+        assert _trail_kernel([(0, 1)] * k)(words) == 0
 
     @pytest.mark.parametrize("m", [63, 64, 65])
     def test_bits_at_or_above_m_ignored(self, m):
@@ -241,7 +239,7 @@ class TestConnectivity:
         # spare bit, nothing, and the whole path with every spare bit set. A
         # spare bit left in place would make the first and last columns look
         # disconnected and the second look like a one-edge trail.
-        count_trails = _trail_kernel(*_edge_arrays(gen_path(m)))
+        count_trails = _trail_kernel(gen_path(m).edges)
         width = 64 * -(-m // 64)
         spare = (1 << width) - (1 << m)
         masks = [1 << (m - 1) | spare, 1 << m & spare, 0, (1 << width) - 1]
@@ -419,6 +417,24 @@ class TestEstimate:
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             estimate_trail_fraction(gen_family(4), samples=1000, seed=seed)
 
+    @pytest.mark.parametrize(
+        "samples, seed, message",
+        [
+            (10, True, "seed must be an integer, got True"),
+            (10, 1.0, "seed must be an integer, got 1.0"),
+            (True, 1, "samples must be an integer, got True"),
+            (10.0, 1, "samples must be an integer, got 10.0"),
+        ],
+    )
+    def test_non_integer_seed_or_samples_rejected(self, samples, seed, message):
+        with pytest.raises(ValueError) as info:
+            estimate_trail_fraction(gen_family(4), samples, seed)
+        assert str(info.value) == message
+
+    def test_numpy_integer_seed_and_samples_accepted(self):
+        g = gen_family(4)
+        assert estimate_trail_fraction(g, np.int64(1000), np.uint64(7)) == estimate_trail_fraction(g, 1000, 7)
+
     def test_largest_seed_accepted_and_echoed(self):
         seed = (1 << 64) - 1
         report = estimate_trail_fraction(gen_family(4), samples=1000, seed=seed)
@@ -487,6 +503,18 @@ class TestWilson:
     def test_successes_outside_samples_rejected(self, successes):
         with pytest.raises(ValueError, match=r"successes must lie in \[0, 10\]"):
             wilson_interval(successes, 10, 0.95)
+
+    @pytest.mark.parametrize(
+        "samples, confidence, message",
+        [
+            (0, 0.95, "samples must be positive"),
+            (10, 0.0, r"confidence must lie in \(0, 1\), got 0.0"),
+            (10, 1.0, r"confidence must lie in \(0, 1\), got 1.0"),
+        ],
+    )
+    def test_samples_or_confidence_outside_range_rejected(self, samples, confidence, message):
+        with pytest.raises(ValueError, match=message):
+            wilson_interval(0, samples, confidence)
 
     def test_width_shrinks_with_samples(self):
         widths = []

@@ -92,3 +92,14 @@ class TestRandom:
     def test_rejects_too_few_vertices(self):
         with pytest.raises(ValueError):
             gen_random_multigraph(1, 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [
+            (3, -1, "edge count must be nonnegative, got m=-1"),
+            (-1, 0, "vertex count must be nonnegative, got n=-1"),
+        ],
+    )
+    def test_rejects_negative_counts(self, n, m, message):
+        with pytest.raises(ValueError, match=message):
+            gen_random_multigraph(n, m, seed=0)

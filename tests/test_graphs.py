@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,12 +255,26 @@ class TestMultigraphInvariants:
             ((Edge(0, 1), Edge(1, 5), Edge(2, 2)), "edge 1: endpoint (1, 5) out of range for n=3"),
             ([(0, 1), (2, 2), (0, 7)], "edge 1: self-loop at vertex 2 is forbidden"),
             ([[0, 1], [-1, 2]], "edge 1: endpoint (-1, 2) out of range for n=3"),
+            ([(0, 1), (0, 1.5)], "edge 1: endpoint 1.5 is not an integer"),
+            ([(0, 1.0)], "edge 0: endpoint 1.0 is not an integer"),
+            ([(0, True)], "edge 0: endpoint True is not an integer"),
         ],
     )
     def test_names_first_offending_edge(self, edges, message):
         with pytest.raises(ValueError) as info:
             Multigraph(3, edges)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_rejects_non_integer_vertex_count(self, n):
+        with pytest.raises(ValueError) as info:
+            Multigraph(n, [(0, 1)])
+        assert str(info.value) == f"vertex_count must be an integer, got {n!r}"
+
+    def test_numpy_integers_accepted(self):
+        g = Multigraph(np.int64(3), [(np.int64(0), np.uint8(1)), (1, np.int32(2))])
+        assert g == Multigraph(3, [(0, 1), (1, 2)])
+        assert EdgeSubset.from_indices(np.array([0, 2]), np.int64(3)) == EdgeSubset(np.int64(5), 3)
 
     def test_edges_become_an_edge_tuple(self):
         edges = (Edge(0, 1), Edge(1, 2))
@@ -278,6 +293,19 @@ class TestEdgeSubset:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             EdgeSubset.from_indices([4], 4)
+
+    @pytest.mark.parametrize(
+        "mask, width, message",
+        [
+            (True, 1, "mask must be an integer, got True"),
+            (1.0, 1, "mask must be an integer, got 1.0"),
+            (0, 1.0, "width must be an integer, got 1.0"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, mask, width, message):
+        with pytest.raises(ValueError) as info:
+            EdgeSubset(mask, width)
+        assert str(info.value) == message
 
     def test_mask_must_fit_width(self):
         with pytest.raises(ValueError):

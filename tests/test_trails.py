@@ -166,6 +166,12 @@ class TestIsTrail:
         assert verdict.is_trail
         assert verdict.witness == (0, 2, 1, 3)
 
+    @pytest.mark.parametrize("subset, bad", [([True], "True"), ([0, 1.0], "1.0")])
+    def test_non_integer_index_rejected(self, subset, bad):
+        with pytest.raises(ValueError) as info:
+            is_trail(gen_path(2), subset)
+        assert str(info.value) == f"edge index {bad} is not an integer"
+
     def test_determinism(self):
         g = gen_family(6)
         assert is_trail(g, [0, 1, 3, 4]) == is_trail(g, [0, 1, 3, 4])
