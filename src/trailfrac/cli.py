@@ -6,7 +6,9 @@ status 1 and a diagnostic on stderr; usage errors exit with status 2.
 
 Each handler imports the modules it calls, so a command loads only its own
 part of the package: ``count`` loads ``graphs`` and ``counting``, never
-``trails``, ``eis``, ``bounds`` or numpy.
+``trails``, ``eis``, ``bounds`` or numpy. The library returns values;
+``cli`` alone shapes every payload from them and writes every exact
+fraction, through ``_ratio``.
 """
 
 from __future__ import annotations
@@ -51,11 +53,22 @@ def _csv_of(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ratio(numerator: int, denominator: int) -> str:
+    """The exact fraction ``numerator/denominator``, unreduced, as a string.
+
+    ``Decimal`` writes ints of any length; ``str(int)`` stops at the
+    interpreter's int-to-str digit limit, which d passes from m = 14 280.
+    """
+    from decimal import Decimal
+
+    return f"{Decimal(numerator)}/{Decimal(denominator)}"
+
+
 def _render(payload, fmt: str, text_fn) -> str:
     # Exact counts pass the interpreter's limit on int-to-str digits (4300 by
     # default) once m exceeds about 14 280. The limit is lifted only while the
     # output is written: parsing the input relies on it to reject huge numerals.
-    # Strings built before this point write such ints through Decimal.
+    # Strings built before this point write such ints through ``_ratio``.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -104,7 +117,8 @@ def _cmd_count(args) -> str:
 
     g = _load_graph(args.graph)
     report = count_trails_exact(g)
-    payload = report.to_json_dict()
+    m, d = report.m, report.d
+    payload = {"m": m, "d": d, "f": _ratio(d, 1 << m), "f_decimal": d / (1 << m), "elapsed": report.elapsed}
 
     def text(p) -> str:
         return (
@@ -124,7 +138,7 @@ def _cmd_estimate(args) -> str:
     report = estimate_trail_fraction(
         g, samples=args.samples, seed=args.seed, confidence=args.confidence
     )
-    payload = report.to_json_dict()
+    payload = dict(vars(report))
 
     def text(p) -> str:
         return (
@@ -165,22 +179,13 @@ def _cmd_eis(args) -> str:
 def _cmd_gen(args) -> str:
     from .generators import gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
 
-    if args.shape == "family":
-        g = gen_family(args.m)
-    elif args.shape == "random":
-        g = gen_random_multigraph(args.n, args.m, args.seed)
-    elif args.shape == "path":
-        g = gen_path(args.k)
-    elif args.shape == "cycle":
-        g = gen_cycle(args.k)
-    else:
-        g = gen_star(args.k)
-    return serialize_graph(g)
+    gen = {"family": gen_family, "random": gen_random_multigraph, "path": gen_path, "cycle": gen_cycle, "star": gen_star}
+    # Each shape's options are named after its generator's parameters.
+    params = {k: v for k, v in vars(args).items() if k in ("n", "m", "seed", "k")}
+    return serialize_graph(gen[args.shape](**params))
 
 
 def _cmd_scan(args) -> str:
-    from decimal import Decimal
-
     from .bounds import family_ratio_csv, family_ratio_scan
 
     rows = family_ratio_scan(args.m_min, args.m_max)
@@ -191,7 +196,7 @@ def _cmd_scan(args) -> str:
             "m": r.m,
             "d": r.d,
             "f": float(r.f),
-            "f_exact": f"{Decimal(r.d)}/{Decimal(1 << r.m)}",
+            "f_exact": _ratio(r.d, 1 << r.m),
             "f_sqrt_m": r.f_sqrt_m,
             "theorem_bound": r.theorem_bound,
         }
@@ -211,8 +216,6 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    from decimal import Decimal
-
     from .bounds import bound_report, proof_ingredient_summary
 
     report = bound_report(args.m)
@@ -223,7 +226,7 @@ def _cmd_bounds(args) -> str:
         "theorem_value": report.theorem_value,
         "k": report.k,
         "r": report.r,
-        "family_f": None if f is None else f"{Decimal(f.numerator)}/{Decimal(f.denominator)}",
+        "family_f": None if f is None else _ratio(f.numerator, f.denominator),
         "family_f_decimal": None if f is None else float(f),
         "ratio": report.ratio,
     }

@@ -32,7 +32,6 @@ import math
 import time
 from collections import Counter
 from collections.abc import Callable
-from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -56,17 +55,6 @@ class CountReport(Record):
     f: Fraction
     elapsed: float
 
-    def to_json_dict(self) -> dict:
-        # Decimal writes ints of any length; str(int) stops at the
-        # interpreter's int-to-str digit limit, which d passes from m = 14 280.
-        return {
-            "m": self.m,
-            "d": self.d,
-            "f": f"{Decimal(self.d)}/{Decimal(1 << self.m)}",
-            "f_decimal": self.d / (1 << self.m),
-            "elapsed": self.elapsed,
-        }
-
 
 class EstimateReport(Record):
     estimate: float
@@ -75,9 +63,6 @@ class EstimateReport(Record):
     confidence: float
     samples: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 class FamilyCount(Record):

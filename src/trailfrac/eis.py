@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 
-from .graphs import Multigraph, Record
+from .graphs import Multigraph, Record, _check_vertices
 
 
 class EisSequence(Record):
@@ -100,9 +100,7 @@ def verify_eis(g: Multigraph, seq: EisSequence | Iterable[int]) -> bool:
     prefix. Sequences with repeated vertices fail.
     """
     vertices = seq.vertices if isinstance(seq, EisSequence) else tuple(seq)
-    for v in vertices:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} out of range for n={g.vertex_count}")
+    _check_vertices(vertices, g.vertex_count)
     if len(set(vertices)) != len(vertices):
         return False
     incident: dict[int, set[int]] = {v: set() for v in vertices}

@@ -184,6 +184,15 @@ def _endpoint_fault(s: int, t: int, n: int) -> str | None:
     return None
 
 
+def _check_vertices(vertices: Iterable[int], n: int) -> None:
+    """``ValueError`` unless each of ``vertices`` is an integer vertex of a graph on ``0..n-1``."""
+    for v in vertices:
+        if type(v) is not int and not _is_int(v):
+            raise ValueError(f"vertex {v!r} is not an integer")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+
+
 def mask_indices(mask: int) -> list[int]:
     """Positions of the set bits of a nonnegative mask, ascending, in time linear in its width."""
     return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
@@ -310,8 +319,7 @@ def _members(g: Multigraph, subset: SubsetLike | None) -> Iterable[int]:
 
 def degree(g: Multigraph, v: int, subset: SubsetLike | None = None) -> Degree:
     """In-, out-, and total degree of ``v`` with respect to a subset (default: all edges)."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range for n={g.vertex_count}")
+    _check_vertices((v,), g.vertex_count)
     ins, outs = degree_profile(g, subset).pairs[v]
     return Degree(ins, outs, ins + outs)
 
@@ -335,9 +343,9 @@ def imbalance_profile(g: Multigraph, subset: SubsetLike | None = None) -> tuple[
 
 def incident_edges(g: Multigraph, vertices: Iterable[int]) -> EdgeSubset:
     """Edges with at least one endpoint in ``vertices``."""
+    vertices = tuple(vertices)
+    # Checked before deduplication: a set would fold True into 1.
+    _check_vertices(vertices, g.vertex_count)
     vs = set(vertices)
-    for v in vs:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} out of range for n={g.vertex_count}")
     hits = (i for i, (s, t) in enumerate(g.edges) if s in vs or t in vs)
     return EdgeSubset.from_indices(hits, g.m)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -320,8 +321,9 @@ class TestBounds:
 
 
 # Outputs of renderers no other test reads, recorded before the edge-list,
-# witness-walk and estimate-report code was cut down. The graph files are
-# written by the ``golden_files`` fixture.
+# witness-walk and estimate-report code was cut down, and before the count
+# and estimate payloads and the exact-fraction strings moved into ``cli``.
+# The graph files are written by the ``golden_files`` fixture.
 GOLDEN_RENDERINGS = [
     (
         ["estimate", "random5", "--samples", "5000", "--seed", "7", "--format", "text"],
@@ -352,6 +354,36 @@ GOLDEN_RENDERINGS = [
         "m,subset,is_trail,failure_reason,witness\n3,0 2,false,disconnected,\n",
     ),
     (["gen", "cycle", "--k", "5"], "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"),
+    (
+        ["bounds", "--m", "16", "--format", "text"],
+        "m: 16\nsqrt(log2(m)/m): 0.500000\nproof parameters: k = 4.0000, r = 4.0000\n"
+        "family f: 0.5454864502 (exact 35749/65536)\nfamily f * sqrt(m): 2.181946\n"
+        "check stirling_sandwich: ok\ncheck central_binomial: ok\ncheck balance_window: ok\n"
+        "check case2_tail: ok\ncheck vandermonde: ok\n",
+    ),
+    (
+        # Odd m: the family columns are empty.
+        ["bounds", "--m", "15", "--format", "csv"],
+        "m,theorem_value,k,r,family_f,family_f_decimal,ratio,check_stirling_sandwich,"
+        "check_central_binomial,check_balance_window,check_case2_tail,check_vandermonde\n"
+        "15,0.5103522048943925,3.8393703721472323,3.9068905956085187,,,,true,true,true,true,true\n",
+    ),
+    (
+        ["scan", "--m-min", "4", "--m-max", "8", "--format", "json"],
+        '[\n  {\n    "m": 4,\n    "d": 13,\n    "f": 0.8125,\n    "f_exact": "13/16",\n'
+        '    "f_sqrt_m": 1.625,\n    "theorem_bound": 0.7071067811865476\n  },\n'
+        '  {\n    "m": 6,\n    "d": 49,\n    "f": 0.765625,\n    "f_exact": "49/64",\n'
+        '    "f_sqrt_m": 1.8753905843183705,\n    "theorem_bound": 0.6563741946889182\n  },\n'
+        '  {\n    "m": 8,\n    "d": 181,\n    "f": 0.70703125,\n    "f_exact": "181/256",\n'
+        '    "f_sqrt_m": 1.9997863655432049,\n    "theorem_bound": 0.6123724356957945\n  }\n]\n',
+    ),
+    (
+        ["scan", "--m-min", "4", "--m-max", "8", "--format", "text"],
+        "    m                        d              f    f*sqrt(m)      bound\n"
+        "    4                       13   0.8125000000     1.625000   0.707107\n"
+        "    6                       49   0.7656250000     1.875391   0.656374\n"
+        "    8                      181   0.7070312500     1.999786   0.612372\n",
+    ),
 ]
 
 
@@ -369,6 +401,19 @@ def golden_files(tmp_path, family4_file, path3_file):
 def test_golden_renderings(capsys, golden_files, argv, expected):
     code, out, err = run(capsys, [golden_files.get(arg, arg) for arg in argv])
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "m: 4\nd: 13\nf: 13/16 = 0.8125\nelapsed: <elapsed>s\n"),
+        ("csv", "m,d,f,f_decimal,elapsed\n4,13,13/16,0.8125,<elapsed>\n"),
+    ],
+)
+def test_count_renderings_apart_from_elapsed(capsys, family4_file, fmt, expected):
+    code, out, err = run(capsys, ["count", family4_file, "--format", fmt])
+    masked = re.sub(r"(?<=elapsed: )[0-9.]+(?=s\n)|(?<=,)[0-9.e-]+(?=\n\Z)", "<elapsed>", out)
+    assert (code, masked, err) == (0, expected, "")
 
 
 class TestDispatch:

@@ -1,4 +1,4 @@
-import json
+import math
 import os
 import random
 import subprocess
@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -177,13 +178,6 @@ class TestExactCount:
         monkeypatch.setattr(trailfrac.counting, "EXACT_MAX_STATES", 50)
         with pytest.raises(ValueError, match=r"stopped at \d+ live frontier states.*estimate"):
             count_trails_exact(g)
-
-    def test_json_fields(self):
-        payload = count_trails_exact(gen_family(4)).to_json_dict()
-        assert list(payload) == ["m", "d", "f", "f_decimal", "elapsed"]
-        assert payload["f"] == "13/16"
-        assert payload["f_decimal"] == 0.8125
-        json.dumps(payload)
 
 
 class TestConnectivity:
@@ -453,11 +447,6 @@ class TestEstimate:
         )
         assert covered >= 45
 
-    def test_json_fields(self):
-        payload = estimate_trail_fraction(gen_path(1), samples=10, seed=3).to_json_dict()
-        assert list(payload) == ["estimate", "ci_low", "ci_high", "confidence", "samples", "seed"]
-        json.dumps(payload)
-
 
 class TestWilson:
     def test_against_statsmodels(self):
@@ -483,6 +472,18 @@ class TestWilson:
                     lo, hi = wilson_interval(successes, samples, confidence)
                     assert lo == pytest.approx(max(0.0, center - half), abs=1e-12)
                     assert hi == pytest.approx(min(1.0, center + half), abs=1e-12)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_limits_solve_the_score_equation(self, confidence):
+        # The Wilson limits are the proportions q at which the score statistic
+        # |p - q| / sqrt(q (1 - q) / n) of the estimate p equals z.
+        z = NormalDist().inv_cdf((1 + confidence) / 2)
+        for n in (2, 3, 13, 1000, 400_000):
+            for x in sorted({1, n // 3, n // 2, n - 1} - {0}):
+                p = x / n
+                lo, hi = wilson_interval(x, n, confidence)
+                assert (p - lo) / math.sqrt(lo * (1 - lo) / n) == pytest.approx(z, rel=1e-8)
+                assert (hi - p) / math.sqrt(hi * (1 - hi) / n) == pytest.approx(z, rel=1e-8)
 
     def test_import_leaves_scipy_unloaded(self):
         src = str(Path(trailfrac.__file__).resolve().parents[1])

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +161,17 @@ class TestVerify:
     def test_out_of_range_vertex_raises(self):
         with pytest.raises(ValueError, match="out of range"):
             verify_eis(gen_path(2), [5])
+
+    @pytest.mark.parametrize(
+        "seq, bad", [([1.0, 3], "1.0"), (["a"], "'a'"), ([True], "True")], ids=["float", "str", "bool"]
+    )
+    def test_non_integer_vertex_raises(self, seq, bad):
+        # [1.0, 3] used to verify as [1, 3]; ["a"] failed with a TypeError.
+        with pytest.raises(ValueError, match=f"^vertex {bad} is not an integer$"):
+            verify_eis(gen_path(3), seq)
+
+    def test_numpy_integer_vertices(self):
+        assert verify_eis(gen_path(3), np.array([1, 3]))
 
     def test_singleton_passes(self):
         assert verify_eis(gen_path(2), [1])

@@ -356,6 +356,15 @@ class TestDegree:
         with pytest.raises(ValueError, match="out of range"):
             degree(gen_path(2), 3, [0])
 
+    @pytest.mark.parametrize("v", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_non_integer_vertex_rejected(self, v):
+        # True used to alias vertex 1; 1.0 failed on a tuple index.
+        with pytest.raises(ValueError, match=f"^vertex {v!r} is not an integer$"):
+            degree(gen_path(3), v)
+
+    def test_numpy_integer_vertex(self):
+        assert degree(gen_path(3), np.int64(1)) == (1, 1, 2)
+
     @given(graph_and_subset())
     def test_handshake_law(self, gs):
         g, subset = gs
@@ -380,6 +389,15 @@ class TestIncidentEdges:
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             incident_edges(gen_path(2), [9])
+
+    @pytest.mark.parametrize("vertices", [[True], [1.0], [1, True]], ids=["bool", "float", "bool-after-int"])
+    def test_non_integer_vertex_rejected(self, vertices):
+        # Each used to return vertex 1's edges, EdgeSubset(mask=3, width=3).
+        with pytest.raises(ValueError, match=f"^vertex {vertices[-1]!r} is not an integer$"):
+            incident_edges(gen_path(3), vertices)
+
+    def test_numpy_integer_vertices(self):
+        assert incident_edges(gen_path(3), np.array([1])) == EdgeSubset(0b11, 3)
 
     @given(multigraphs(min_n=2), st.data())
     def test_union_distributes(self, g, data):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -9,9 +10,11 @@ from trailfrac import (
     EdgeSubset,
     FailureReason,
     Multigraph,
+    degree_profile,
     gen_family,
     gen_path,
     gen_random_multigraph,
+    imbalance_profile,
     is_trail,
     necessary_balance_condition,
     oracle_is_trail,
@@ -243,6 +246,25 @@ class TestNecessaryBalance:
         g = two_disjoint_two_cycles()
         assert necessary_balance_condition(g, [0, 1, 2, 3])
         assert not is_trail(g, [0, 1, 2, 3]).is_trail
+
+
+@pytest.mark.parametrize(
+    "fn", [is_trail, oracle_is_trail, necessary_balance_condition, degree_profile, imbalance_profile]
+)
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        (EdgeSubset(1, 2), "subset width 2 does not match edge count 3"),
+        ([0, 0], "duplicate edge index 0"),
+        ([5], "edge index 5 out of range for m=3"),
+        ([True], "edge index True is not an integer"),
+    ],
+    ids=["width", "duplicate", "range", "bool"],
+)
+def test_malformed_subset_errors(fn, subset, message):
+    """Every subset-taking function reads its subset through one rule, with one set of messages."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(gen_path(3), subset)
 
 
 class TestOracleEquivalence:
