@@ -185,12 +185,13 @@ def family_ratio_scan(m_min: int, m_max: int) -> list[FamilyRatioRow]:
     for m, central in zip(range(m_min, m_max + 1, 2), _central_binomials(m_min)):
         total = _family_d(m, central)
         f = Fraction(total, 1 << m)
+        # int / int is correctly rounded, so total / 2^m is float(f) bit for bit.
         rows.append(
             FamilyRatioRow(
                 m=m,
                 d=total,
                 f=f,
-                f_sqrt_m=float(f) * math.sqrt(m),
+                f_sqrt_m=total / (1 << m) * math.sqrt(m),
                 theorem_bound=theorem_upper_bound(m),
             )
         )
@@ -206,7 +207,7 @@ def family_ratio_csv(rows: Sequence[FamilyRatioRow]) -> str:
     lines = ["m,d,f,f_sqrt_m,theorem_bound"]
     for row in rows:
         lines.append(
-            f"{row.m},{Decimal(row.d)},{float(row.f):.12g},{row.f_sqrt_m:.12g},{row.theorem_bound:.12g}"
+            f"{row.m},{Decimal(row.d)},{row.d / (1 << row.m):.12g},{row.f_sqrt_m:.12g},{row.theorem_bound:.12g}"
         )
     return "\n".join(lines) + "\n"
 

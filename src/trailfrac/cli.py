@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .graphs import _decimal_ints, parse_graph, serialize_graph
 
@@ -64,16 +65,50 @@ def _ratio(numerator: int, denominator: int) -> str:
     return f"{Decimal(numerator)}/{Decimal(denominator)}"
 
 
+# Types that json writes as a bare literal.
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value whose dict keys are strings, nested at ``pad``.
+
+    With ``indent`` set, Python before 3.13 writes through its pure-Python
+    encoder, one element at a time. A dict or list that holds only scalars is
+    therefore written by one call of the C encoder, with the newline and
+    indentation as its item separator; only containers that hold containers
+    are walked here.
+    """
+    if isinstance(value, dict):
+        brackets, members = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, members = "[]", value
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if set(map(type, members)) <= _SCALARS:
+        body = json.dumps(value, separators=(sep, ": "))[1:-1]
+    elif brackets == "{}":
+        body = sep.join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
+    else:
+        body = sep.join(_json(v, inner) for v in value)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def _render(payload, fmt: str, text_fn) -> str:
     # Exact counts pass the interpreter's limit on int-to-str digits (4300 by
     # default) once m exceeds about 14 280. The limit is lifted only while the
     # output is written: parsing the input relies on it to reject huge numerals.
     # Strings built before this point write such ints through ``_ratio``.
+    # JSON goes through ``_json``, which writes the bytes of
+    # ``json.dumps(payload, indent=2)`` with one C-encoder call per container of scalars.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            return json.dumps(payload, indent=2) + "\n"
+            return _json(payload) + "\n"
         if fmt == "csv":
             return _csv_of(payload)
         return text_fn(payload)
@@ -156,7 +191,7 @@ def _cmd_eis(args) -> str:
 
     g = _load_graph(args.graph)
     seq = greedy_eis(g)
-    non_isolated = len({v for e in g.edges for v in e})
+    non_isolated = len(set(chain.from_iterable(g.edges)))
     payload = {
         "vertices": list(seq.vertices),
         "fresh_edges": list(seq.fresh_edges),
@@ -195,7 +230,7 @@ def _cmd_scan(args) -> str:
         {
             "m": r.m,
             "d": r.d,
-            "f": float(r.f),
+            "f": r.d / (1 << r.m),
             "f_exact": _ratio(r.d, 1 << r.m),
             "f_sqrt_m": r.f_sqrt_m,
             "theorem_bound": r.theorem_bound,

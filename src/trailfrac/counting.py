@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 
-from .graphs import Edge, Multigraph, Record, _is_int
+from .graphs import Edge, Multigraph, Record, _check_ints
 
 # Live frontier states allowed after any step of the exact count. The densest
 # graph tried, gen_random_multigraph(8, 80, 1), peaks at 1.3e5 states and
@@ -371,6 +371,7 @@ def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[fl
     equals ``samples``, their closed forms; the general formula leaves rounding
     residue there, a lower limit above an estimate of 0.
     """
+    _check_ints(successes=successes, samples=samples)
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 <= successes <= samples:
@@ -399,14 +400,11 @@ def estimate_trail_fraction(
     the estimate is the fraction of sampled subsets that are trails. Results
     are bit-identical for a fixed (seed, samples) pair; seeds lie in [0, 2^64).
     """
-    if not _is_int(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+    _check_ints(samples=samples, seed=seed)
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     import numpy as np

@@ -6,9 +6,11 @@ procedure below always picks the vertex with the fewest remaining incident
 edges; each pick removes at most two vertices from the working set, so when
 every vertex starts with an incident edge the sequence reaches length at
 least |V|/2. This is the smallest-last elimination order of Matula and Beck
-(J. ACM 30(3), 1983); a binary heap of ``(remaining degree, vertex)`` keys,
-each packed into one int, finds each pick with lazy deletion, so the whole
-sequence costs O((n + m) log n).
+(J. ACM 30(3), 1983). Its state is an ascending incidence list and a
+remaining degree per touched vertex, zero once the vertex is gone, and a
+live flag per edge in a ``bytearray``. A binary heap of ``(remaining
+degree, vertex)`` keys, each packed into one int, finds each pick with lazy
+deletion, so the whole sequence costs O((n + m) log n).
 """
 
 from __future__ import annotations
@@ -42,54 +44,68 @@ def greedy_eis(g: Multigraph) -> EisSequence:
     at least |V|/2. The certificate fresh edge recorded for each vertex is the
     lowest-index edge still present when the vertex is picked.
 
+    The fresh edge is the first live entry of the picked vertex's ascending
+    incidence list. Only touched vertices get a list and a degree, so the
+    cost does not grow with ``g.vertex_count``. An edge dies at both
+    endpoints at once, so the far end of a live edge is never gone.
+
     Picks come from a heap of ``(remaining degree, vertex)`` entries, each
     packed into one int, so they follow the tie-break above exactly. Each step
     pushes one fresh entry per surviving neighbour, whatever the number of
     parallel edges it lost, and entries are never removed: a popped entry
-    whose vertex is gone is skipped. An edge leaves both endpoints' sets at
-    once, so the far end of a listed edge is always live.
-    Degrees only fall, so a live vertex's current entry is smaller than its
-    stale ones and always pops first. A pair of adjacent vertices causes at
-    most one push, so the heap holds at most n + min(m, n²) entries and the
-    cost is O((n + m) log n).
+    whose vertex is gone is skipped. Degrees only fall, so a live vertex's
+    current entry is smaller than its stale ones and always pops first. A
+    pair of adjacent vertices causes at most one push, so the heap holds at
+    most n + min(m, n²) entries and the cost is O((n + m) log n). The loop
+    stops when the last vertex is gone, so most stale entries are never popped.
     """
     edges = g.edges
-    remaining: dict[int, set[int]] = {}
+    incident: dict[int, list[int]] = {}
     for i, (s, t) in enumerate(edges):
-        remaining.setdefault(s, set()).add(i)
-        remaining.setdefault(t, set()).add(i)
+        incident.setdefault(s, []).append(i)
+        incident.setdefault(t, []).append(i)
+    degree = {v: len(incident_v) for v, incident_v in incident.items()}
+    live = bytearray(b"\x01") * len(edges)
     # A key (degree << shift) | v orders as the pair (degree, v) does.
     shift = g.vertex_count.bit_length()
     mask = (1 << shift) - 1
-    heap = [len(incident) << shift | v for v, incident in remaining.items()]
+    heap = [d << shift | v for v, d in degree.items()]
     heapq.heapify(heap)
 
     vertices: list[int] = []
     fresh_edges: list[int] = []
     eliminated: list[int] = []
-    while heap:
+    left = len(degree)  # vertices not yet gone
+    while left:
         v = heapq.heappop(heap) & mask
-        if v not in remaining:
+        if not degree[v]:
             continue
-        dropped = remaining.pop(v)
+        degree[v] = 0
         vertices.append(v)
-        fresh_edges.append(min(dropped))
         removed = 1
         lowered: set[int] = set()
-        for e in dropped:
+        first = True
+        for e in incident[v]:
+            if not live[e]:
+                continue
+            if first:
+                fresh_edges.append(e)
+                first = False
+            live[e] = 0
             s, t = edges[e]
             u = t if s == v else s
-            live = remaining[u]
-            live.discard(e)
-            if live:
+            d = degree[u] - 1
+            degree[u] = d
+            if d:
                 lowered.add(u)
             else:
-                del remaining[u]
                 removed += 1
         for u in lowered:
-            if u in remaining:
-                heapq.heappush(heap, len(remaining[u]) << shift | u)
+            d = degree[u]
+            if d:
+                heapq.heappush(heap, d << shift | u)
         eliminated.append(removed)
+        left -= removed
     return EisSequence(tuple(vertices), tuple(fresh_edges), tuple(eliminated))
 
 

@@ -86,8 +86,7 @@ class Multigraph(Record):
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.vertex_count):
-            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
+        _check_ints(vertex_count=self.vertex_count)
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         edges = self.edges
@@ -121,9 +120,7 @@ class EdgeSubset(Record):
     width: int
 
     def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_ints(**self.__dict__)
         if self.width < 0:
             raise ValueError("width must be nonnegative")
         if not 0 <= self.mask < (1 << self.width):
@@ -170,6 +167,13 @@ def _is_int(value: object) -> bool:
     except TypeError:
         return False
     return not isinstance(value, bool)
+
+
+def _check_ints(**values: object) -> None:
+    """``ValueError`` naming the first of the keyword arguments that is not an integer by ``_is_int``."""
+    for name, value in values.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _endpoint_fault(s: int, t: int, n: int) -> str | None:

@@ -8,6 +8,11 @@ brute-force ground truth that tries every ordering, kept deliberately naive so
 the fast path can be validated against it. The witness is Hierholzer's walk
 (1873) over out-edge lists in descending index order, so popping a list takes
 its lowest unused edge. Imbalances come from ``graphs``.
+
+The imbalances are computed first. For a balanced subset the walk itself
+decides connectivity: it uses every edge exactly when the subset is weakly
+connected. A union-find pass (``_connected``) runs only for an imbalanced
+subset, to tell ``disconnected`` from ``degree_imbalance``.
 """
 
 from __future__ import annotations
@@ -65,11 +70,14 @@ def _connected(edges: tuple[Edge, ...], idx: list[int]) -> bool:
 
 
 def _hierholzer(edges: tuple[Edge, ...], idx: list[int], imbalances: dict[int, int]) -> tuple[int, ...]:
-    """Order a feasible ascending edge list into a trail, extending by lowest edge index first.
+    """Walk a balanced ascending edge list into a trail, extending by lowest edge index first.
 
     Open trails start at the unique ``+1`` vertex; closed trails start at the
     source of the lowest-index member edge. The stack walk splices pending
-    cycles so the full subset is consumed.
+    cycles, so it uses every edge of the start's weak component. A balanced
+    subset spreads into components that are each balanced, and its ``+1`` and
+    ``-1`` vertices share one, so the walk is shorter than ``idx`` exactly
+    when the subset is disconnected.
     """
     out: dict[int, list[int]] = {}
     for j in reversed(idx):  # descending, so each list's end is its lowest edge
@@ -96,9 +104,7 @@ def _hierholzer(edges: tuple[Edge, ...], idx: list[int], imbalances: dict[int, i
             vertex_stack.pop()
             if edge_stack:
                 reversed_trail.append(edge_stack.pop())
-    trail = tuple(reversed(reversed_trail))
-    assert len(trail) == len(idx), "feasibility checks should guarantee a full traversal"
-    return trail
+    return tuple(reversed(reversed_trail))
 
 
 def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
@@ -106,19 +112,23 @@ def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
 
     A subset failing both conditions reports ``disconnected``: scattered edges
     are described by where they sit before how they point. The member edges
-    are decoded from the mask once, in ascending order, so the cost is near
-    linear in ``m``.
+    are decoded from the mask once, in ascending order, and each is visited a
+    fixed number of times, so the cost is near linear in ``m``: a balanced
+    subset costs the imbalance pass and the walk, an imbalanced one the
+    imbalance pass and the union-find pass.
     """
     mask = subset_mask(g, subset)
     if mask == 0:
         return TrailVerdict(False, None, FailureReason.EMPTY_SUBSET)
     idx = mask_indices(mask)
-    if not _connected(g.edges, idx):
-        return TrailVerdict(False, None, FailureReason.DISCONNECTED)
     imbalances = _imbalances(g.edges, idx)
     if not _balanced(imbalances):
-        return TrailVerdict(False, None, FailureReason.DEGREE_IMBALANCE)
-    return TrailVerdict(True, _hierholzer(g.edges, idx, imbalances), None)
+        reason = FailureReason.DEGREE_IMBALANCE if _connected(g.edges, idx) else FailureReason.DISCONNECTED
+        return TrailVerdict(False, None, reason)
+    trail = _hierholzer(g.edges, idx, imbalances)
+    if len(trail) < len(idx):
+        return TrailVerdict(False, None, FailureReason.DISCONNECTED)
+    return TrailVerdict(True, trail, None)
 
 
 def witness_trail(g: Multigraph, subset: SubsetLike) -> tuple[int, ...] | None:

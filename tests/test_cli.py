@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trailfrac
-from trailfrac import count_family_closed_form, gen_family, gen_random_multigraph, parse_graph, serialize_graph
+from trailfrac import (
+    Multigraph,
+    count_family_closed_form,
+    gen_family,
+    gen_random_multigraph,
+    parse_graph,
+    serialize_graph,
+)
+from trailfrac import cli
 from trailfrac.cli import main
 
 from helpers import two_disjoint_two_cycles
@@ -414,6 +423,120 @@ def test_count_renderings_apart_from_elapsed(capsys, family4_file, fmt, expected
     code, out, err = run(capsys, ["count", family4_file, "--format", fmt])
     masked = re.sub(r"(?<=elapsed: )[0-9.]+(?=s\n)|(?<=,)[0-9.e-]+(?=\n\Z)", "<elapsed>", out)
     assert (code, masked, err) == (0, expected, "")
+
+
+# JSON scalars, among them values the encoder writes in a special way:
+# ints past the 4300-digit int-to-str limit, non-finite and signed-zero
+# floats, and strings with escapes and non-ASCII characters.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    # built inside the strategy: a repr of the strategy itself would hit the digit limit
+    | st.integers(4_300, 4_400).map(lambda digits: 7 - 10**digits)
+    | st.sampled_from([2**63, -(2**63), 2**64])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-320, 5e300])
+    | st.text()
+    | st.sampled_from(["", "é\u00e9\U0001f600", "tab\there", '"quoted" \\ back', "\u2028\x00"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(st.text(max_size=8), children, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestJsonRendering:
+    """``cli._render`` writes the bytes of ``json.dumps(payload, indent=2)``."""
+
+    @staticmethod
+    def dumps_indent2(payload) -> str:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return json.dumps(payload, indent=2) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, payload):
+        assert cli._render(payload, "json", None) == self.dumps_indent2(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {},
+            [[]],
+            {"a": {}},
+            [{}, [], [[]], {"b": []}],
+            {"subset": list(range(50)), "witness": None, "nested": [[1, 2], [], {"x": [None, True]}]},
+            [10**5000, float("nan"), -0.0, "ü"],
+            (1, (2, 3), [4]),
+            5,
+            "top",
+            None,
+        ],
+    )
+    def test_edge_shapes(self, payload):
+        assert cli._render(payload, "json", None) == self.dumps_indent2(payload)
+
+
+def walk_graph(seed: int, n: int, length: int, closed: bool) -> list[tuple[int, int]]:
+    """The edges of a seeded random walk of ``length`` steps on ``n`` vertices, shuffled."""
+    rng = random.Random(seed)
+    v = rng.randrange(n)
+    start, edges = v, []
+    for i in range(length):
+        if closed and i == length - 1:
+            w = start
+        else:
+            w = v
+            # The step before the closing one avoids the start, so no edge is a self-loop.
+            while w == v or (closed and i == length - 2 and w == start):
+                w = rng.randrange(n)
+        edges.append((v, w))
+        v = w
+    rng.shuffle(edges)
+    return edges
+
+
+# sha256 of the stdout of JSON `eis` and `check --witness` calls on seeded
+# 10^4-edge graphs, recorded before greedy_eis kept its incidence in arrays,
+# before the walk decided the connectivity of balanced subsets and before
+# JSON lists were written by the C encoder.
+GOLDEN_LARGE_SHA256 = {
+    "eis-random": "3f594f04b1866cf1d8d60a5ec04c021cee0e756d18fa8016f6df6ee8fea6ea8d",
+    "check-closed-walk": "39d77ba1eafe960f01fd7a10887bcf52e359105fd355a0b76de4eba5eebe8d60",
+    "check-closed-walk-plus-edge": "7e4ea59c9452721dc4519b78aa0ad791da6088b4db7159fbe0835519f172ab3f",
+    "check-open-walk": "1aba3d53df2e287a876ab079c093e743dd59815896a0a26a1f3ec6bd960064b9",
+}
+
+
+def test_golden_large_outputs(capsys, tmp_path):
+    m = 10**4
+    closed = walk_graph(1, 500, m, closed=True)
+    graphs = {
+        "random": gen_random_multigraph(2000, m, 1),
+        "closed": Multigraph(502, tuple(closed) + ((500, 501),)),
+        "open": Multigraph(500, tuple(walk_graph(2, 500, m, closed=False))),
+    }
+    paths = {}
+    for name, g in graphs.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(serialize_graph(g))
+    calls = {
+        "eis-random": ["eis", paths["random"]],
+        "check-closed-walk": ["check", paths["closed"], "--subset", ",".join(map(str, range(m))), "--witness"],
+        "check-closed-walk-plus-edge": ["check", paths["closed"], "--subset", ",".join(map(str, range(m + 1))), "--witness"],
+        "check-open-walk": ["check", paths["open"], "--subset", ",".join(map(str, range(m))), "--witness"],
+    }
+    for name, argv in calls.items():
+        code, out, err = run(capsys, [str(arg) for arg in argv])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LARGE_SHA256[name], name
 
 
 class TestDispatch:

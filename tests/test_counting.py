@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -516,6 +517,25 @@ class TestWilson:
     def test_samples_or_confidence_outside_range_rejected(self, samples, confidence, message):
         with pytest.raises(ValueError, match=message):
             wilson_interval(0, samples, confidence)
+
+    @pytest.mark.parametrize(
+        "successes, samples, message",
+        [
+            (True, 2, "successes must be an integer, got True"),
+            (1, True, "samples must be an integer, got True"),
+            (False, 2, "successes must be an integer, got False"),
+            (1.0, 2, "successes must be an integer, got 1.0"),
+            (1, 2.0, "samples must be an integer, got 2.0"),
+            (None, 2, "successes must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, successes, samples, message):
+        # bool subclasses int: True would read as 1 success, or as 1 sample.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wilson_interval(successes, samples, 0.95)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert wilson_interval(np.int64(7), np.int64(13), 0.9) == wilson_interval(7, 13, 0.9)
 
     def test_width_shrinks_with_samples(self):
         widths = []

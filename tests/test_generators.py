@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trailfrac import (
@@ -54,6 +56,34 @@ class TestFixedShapes:
     def test_size_minimums(self, gen, bad):
         with pytest.raises(ValueError):
             gen(bad)
+
+    @pytest.mark.parametrize(
+        "gen, args, message",
+        [
+            (gen_family, (True,), "m must be an integer, got True"),
+            (gen_family, (4.0,), "m must be an integer, got 4.0"),
+            (gen_path, (True,), "k must be an integer, got True"),
+            (gen_path, (2.0,), "k must be an integer, got 2.0"),
+            (gen_cycle, (True,), "k must be an integer, got True"),
+            (gen_cycle, ("3",), "k must be an integer, got '3'"),
+            (gen_star, (True,), "k must be an integer, got True"),
+            (gen_star, (None,), "k must be an integer, got None"),
+            (gen_random_multigraph, (True, 2, 1), "n must be an integer, got True"),
+            (gen_random_multigraph, (3, True, 1), "m must be an integer, got True"),
+            (gen_random_multigraph, (3, 2, True), "seed must be an integer, got True"),
+            (gen_random_multigraph, (3.0, 2, 1), "n must be an integer, got 3.0"),
+            (gen_random_multigraph, (3, 2, 1.5), "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_rejects_non_integer_sizes_and_seeds(self, gen, args, message):
+        # bool subclasses int: True would build the one-edge graph, or alias seed 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen(*args)
+
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        assert gen_path(np.int64(2)) == gen_path(2)
+        assert gen_random_multigraph(np.int64(5), np.int32(12), np.uint64(99)) == gen_random_multigraph(5, 12, 99)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_path_count_formula(self, k):

@@ -322,28 +322,90 @@ class TestLongWalk:
         assert not necessary_balance_condition(long_walk, subset)
 
 
+def euler_reason(g: Multigraph, subset) -> FailureReason | None:
+    """The verdict by the Euler characterization, from networkx connectivity
+    and the balance rule: None for a trail, else the failure reason."""
+    nx = pytest.importorskip("networkx")
+    edges = [g.edges[j] for j in subset]
+    if not edges:
+        return FailureReason.EMPTY_SUBSET
+    imbalance = Counter(s for s, _ in edges)
+    imbalance.subtract(t for _, t in edges)
+    balanced = all(abs(x) <= 1 for x in imbalance.values()) and sum(map(abs, imbalance.values())) <= 2
+    if not nx.is_weakly_connected(nx.MultiDiGraph(edges)):
+        return FailureReason.DISCONNECTED
+    return None if balanced else FailureReason.DEGREE_IMBALANCE
+
+
 class TestAtScale:
     @settings(max_examples=40, deadline=None)
     @given(walks_at_scale())
     def test_verdict_matches_euler_characterization(self, case):
-        nx = pytest.importorskip("networkx")
         g, subset = case
         verdict = is_trail(g, subset)
-        edges = [g.edges[j] for j in subset]
-        imbalance = Counter(s for s, _ in edges)
-        imbalance.subtract(t for _, t in edges)
-        balanced = all(abs(x) <= 1 for x in imbalance.values()) and sum(map(abs, imbalance.values())) <= 2
-        connected = bool(edges) and nx.is_weakly_connected(nx.MultiDiGraph(edges))
-        assert verdict.is_trail == (connected and balanced)
+        reason = euler_reason(g, subset)
+        assert verdict.is_trail == (reason is None)
+        assert verdict.failure_reason is reason
         if verdict.is_trail:
             assert sorted(verdict.witness) == subset
             assert chains(g, verdict.witness)
         else:
             assert verdict.witness is None
-            assert verdict.failure_reason is (
-                FailureReason.EMPTY_SUBSET
-                if not edges
-                else FailureReason.DISCONNECTED
-                if not connected
-                else FailureReason.DEGREE_IMBALANCE
-            )
+
+
+def cycle_edges(first: int, k: int) -> list[tuple[int, int]]:
+    """A directed cycle on the k vertices first .. first + k - 1."""
+    return [(first + i, first + (i + 1) % k) for i in range(k)]
+
+
+class TestWalkDecidedReasons:
+    """A balanced subset is judged by the length of Hierholzer's walk alone.
+
+    Random subsets are rarely balanced yet disconnected, so these cases build
+    such subsets on purpose: the walk starts in one component and must stop
+    short of the others, whichever of them holds the lowest edge or the
+    ``+1`` vertex.
+    """
+
+    CASES = {
+        # all imbalances 0: the walk starts at the source of edge 0
+        "two-disjoint-cycles": cycle_edges(0, 3) + cycle_edges(3, 4),
+        "small-cycle-first": cycle_edges(0, 2) + cycle_edges(2, 5000),
+        "long-cycle-first": cycle_edges(0, 5000) + cycle_edges(5000, 2),
+        # +1 and -1 at the stray edge's ends, so the walk starts on the stray edge
+        "long-cycle-plus-edge": cycle_edges(0, 5000) + [(5000, 5001)],
+        "edge-plus-long-cycle": [(0, 1)] + cycle_edges(2, 5000),
+        # +1 and -1 at the path's ends, so the walk starts on the path
+        "small-cycle-plus-path": cycle_edges(0, 3) + [(3 + i, 4 + i) for i in range(50)],
+        "path-plus-small-cycle": [(i, i + 1) for i in range(50)] + cycle_edges(51, 3),
+        # imbalanced: union-find picks the reason
+        "imbalanced-connected": cycle_edges(0, 50) + [(0, 25), (0, 10)],
+        "imbalanced-disconnected": cycle_edges(0, 50) + [(50, 51), (52, 51)],
+        "star": [(0, i) for i in range(1, 30)],
+    }
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_reason_matches_euler_characterization(self, name, shuffle):
+        edges = list(self.CASES[name])
+        if shuffle:
+            random.Random(name).shuffle(edges)
+        g = Multigraph(1 + max(map(max, edges)), tuple(edges))
+        subset = range(g.m)
+        verdict = is_trail(g, subset)
+        reason = euler_reason(g, subset)
+        assert reason is not None
+        assert verdict == is_trail(g, EdgeSubset((1 << g.m) - 1, g.m))
+        assert (verdict.is_trail, verdict.witness, verdict.failure_reason) == (False, None, reason)
+
+    def test_each_component_alone_is_a_trail(self):
+        # The same components, decided one at a time, are trails: only their union fails.
+        nx = pytest.importorskip("networkx")
+        for name in ("two-disjoint-cycles", "long-cycle-plus-edge", "small-cycle-plus-path"):
+            edges = self.CASES[name]
+            g = Multigraph(1 + max(map(max, edges)), tuple(edges))
+            for component in nx.weakly_connected_components(nx.MultiDiGraph(edges)):
+                subset = [j for j, (s, _) in enumerate(edges) if s in component]
+                verdict = is_trail(g, subset)
+                assert verdict.is_trail and sorted(verdict.witness) == subset
+                assert chains(g, verdict.witness)
