@@ -24,7 +24,6 @@ _EXPORTS = {
         "balance_window_probability",
         "bound_report",
         "case2_tail_bound_check",
-        "central_binomial_bound_check",
         "family_ratio_csv",
         "family_ratio_scan",
         "proof_ingredient_summary",
@@ -45,16 +44,10 @@ _EXPORTS = {
     "eis": ("EisSequence", "greedy_eis", "verify_eis"),
     "generators": ("gen_cycle", "gen_family", "gen_path", "gen_random_multigraph", "gen_star"),
     "graphs": (
-        "Degree",
-        "DegreeProfile",
         "Edge",
         "EdgeSubset",
         "GraphFormatError",
         "Multigraph",
-        "degree",
-        "degree_profile",
-        "imbalance_profile",
-        "incident_edges",
         "parse_graph",
         "serialize_graph",
         "subset_mask",
@@ -66,7 +59,6 @@ _EXPORTS = {
         "is_trail",
         "necessary_balance_condition",
         "oracle_is_trail",
-        "witness_trail",
     ),
 }
 

@@ -22,7 +22,7 @@ from collections.abc import Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 
-from .graphs import Record
+from .graphs import Record, _check_ints
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -40,8 +40,13 @@ def theorem_upper_bound(m: int) -> float:
     This is the asymptotic envelope, not a pointwise guarantee: small graphs
     (e.g. the two-vertex family at m=4) exceed it with constant 1.
     """
+    [m] = _check_ints(m=m)
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    return _headline_rate(m)
+
+
+def _headline_rate(m: int) -> float:
     return math.sqrt(math.log2(m) / m)
 
 
@@ -68,10 +73,16 @@ class StirlingBounds(Record):
 
 def stirling_bounds(n: int) -> StirlingBounds:
     """Bracket sqrt(2*pi)*n^(n+1/2)*e^(-n) <= n! <= e*n^(n+1/2)*e^(-n)."""
+    [n] = _check_ints(n=n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    return StirlingBounds(*_stirling_logs(n))
+
+
+def _stirling_logs(n: int) -> tuple[float, float]:
+    """Logs of the lower and upper sides of the Stirling bracket of n!, for n >= 1."""
     core = (n + 0.5) * math.log(n) - n
-    return StirlingBounds(log_lower=_LOG_SQRT_2PI + core, log_upper=1.0 + core)
+    return _LOG_SQRT_2PI + core, 1.0 + core
 
 
 def _central_binomials(m: int) -> Iterator[int]:
@@ -86,15 +97,9 @@ def _central_binomials(m: int) -> Iterator[int]:
 
 
 def _central_bound_holds(c: int, central: int) -> bool:
+    """Whether 2^(-c) * C(c, c/2) <= e / (pi * sqrt(c)), given central = C(c, c/2) for even c >= 2."""
     # int / int is correctly rounded, as float(Fraction(central, 2^c)) is.
     return central / (1 << c) <= math.e / (math.pi * math.sqrt(c))
-
-
-def central_binomial_bound_check(c: int) -> bool:
-    """Check 2^(-c) * C(c, c/2) <= e / (pi * sqrt(c)) for even c."""
-    if c < 2 or c % 2:
-        raise ValueError(f"c must be a positive even integer, got {c}")
-    return _central_bound_holds(c, math.comb(c, c // 2))
 
 
 def _comb0(n: int, k: int) -> int:
@@ -111,6 +116,7 @@ def balance_window_probability(c: int, j: int) -> float:
 
     Always at most 3 * 2^(-c) * C(c, floor(c/2)).
     """
+    c, j = _check_ints(c=c, j=j)
     if c < 1:
         raise ValueError(f"c must be positive, got {c}")
     return _window_numerator(c, j) / (1 << c)
@@ -131,20 +137,17 @@ def case2_tail_bound_check(r: int) -> Case2TailCheck:
     in exact rational arithmetic; the reported ``exact_tail_bound`` is the
     middle expression.
     """
+    [r] = _check_ints(r=r)
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-    term_sum = (
-        Fraction(math.comb(r, 2), 1 << (r - 2))
-        + Fraction(r, 1 << (r - 1))
-        + Fraction(1, 1 << r)
-    )
+    return _case2_tail(r)
+
+
+def _case2_tail(r: int) -> Case2TailCheck:
+    term_sum = Fraction(math.comb(r, 2), 1 << (r - 2)) + Fraction(r, 1 << (r - 1)) + Fraction(1, 1 << r)
     quadratic = Fraction(2 * r * r + 2 * r + 1, 1 << r)
     final = Fraction(4 * r * r, 1 << r)
-    return Case2TailCheck(
-        exact_tail_bound=float(quadratic),
-        paper_bound=float(final),
-        holds=term_sum <= quadratic <= final,
-    )
+    return Case2TailCheck(float(quadratic), float(final), term_sum <= quadratic <= final)
 
 
 def vandermonde_identity_check(m: int) -> bool:
@@ -152,8 +155,13 @@ def vandermonde_identity_check(m: int) -> bool:
 
     The sum must start at l = 0; dropping that term undercounts by one.
     """
+    [m] = _check_ints(m=m)
     if m < 2 or m % 2:
         raise ValueError(f"m must be a positive even integer, got {m}")
+    return _vandermonde_holds(m)
+
+
+def _vandermonde_holds(m: int) -> bool:
     half = m // 2
     return sum(math.comb(half, l) ** 2 for l in range(half + 1)) == math.comb(m, half)
 
@@ -177,6 +185,7 @@ def family_ratio_scan(m_min: int, m_max: int) -> list[FamilyRatioRow]:
     Each d is ``_family_d`` of a C(m, m/2) from ``_central_binomials``. Exact
     integers throughout, so m has no upper limit beyond time and memory.
     """
+    m_min, m_max = _check_ints(m_min=m_min, m_max=m_max)
     if m_min % 2 or m_max % 2 or m_min < 4:
         raise ValueError(f"m_min and m_max must be even and at least 4, got [{m_min}, {m_max}]")
     if m_min > m_max:
@@ -192,7 +201,7 @@ def family_ratio_scan(m_min: int, m_max: int) -> list[FamilyRatioRow]:
                 d=total,
                 f=f,
                 f_sqrt_m=total / (1 << m) * math.sqrt(m),
-                theorem_bound=theorem_upper_bound(m),
+                theorem_bound=_headline_rate(m),
             )
         )
     return rows
@@ -232,6 +241,7 @@ class BoundReport(Record):
 
 
 def bound_report(m: int) -> BoundReport:
+    [m] = _check_ints(m=m)
     value = theorem_upper_bound(m)
     if m % 2 == 0:
         f = Fraction(_family_d(m, math.comb(m, m // 2)), 1 << m)
@@ -249,9 +259,8 @@ def proof_ingredient_summary() -> dict[str, bool]:
     factorial = 1
     for n in range(1, _STIRLING_MAX + 1):
         factorial *= n
-        log_fact = math.log(factorial)
-        b = stirling_bounds(n)
-        if not b.log_lower <= log_fact <= b.log_upper:
+        lower, upper = _stirling_logs(n)
+        if not lower <= math.log(factorial) <= upper:
             stirling_ok = False
             break
 
@@ -259,18 +268,12 @@ def proof_ingredient_summary() -> dict[str, bool]:
         map(_central_bound_holds, range(2, _CENTRAL_MAX + 1, 2), _central_binomials(2))
     )
 
-    window_ok = True
-    for c in range(1, _WINDOW_MAX + 1):
-        cap = 3 * math.comb(c, c // 2)
-        for j in range(-1, c + 2):
-            if _window_numerator(c, j) > cap:
-                window_ok = False
-                break
-        if not window_ok:
-            break
-
-    case2_ok = all(case2_tail_bound_check(r).holds for r in range(2, _CASE2_MAX + 1))
-    vandermonde_ok = all(vandermonde_identity_check(m) for m in range(2, _VANDERMONDE_MAX + 1, 2))
+    window_ok = all(
+        max(_window_numerator(c, j) for j in range(-1, c + 2)) <= 3 * math.comb(c, c // 2)
+        for c in range(1, _WINDOW_MAX + 1)
+    )
+    case2_ok = all(_case2_tail(r).holds for r in range(2, _CASE2_MAX + 1))
+    vandermonde_ok = all(map(_vandermonde_holds, range(2, _VANDERMONDE_MAX + 1, 2)))
     return {
         "stirling_sandwich": stirling_ok,
         "central_binomial": central_ok,

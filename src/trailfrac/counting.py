@@ -356,6 +356,7 @@ def count_family_closed_form(m: int) -> FamilyCount:
     ``|a - b| <= 1`` and ``a + b >= 1``, which gives C(m, m/2) - 1 subsets of
     even size (the empty set is excluded) and 2*C(m, m/2 - 1) of odd size.
     """
+    [m] = _check_ints(m=m)
     if m < 2 or m % 2:
         raise ValueError(f"family size m={m} must be a positive even integer")
     half = m // 2

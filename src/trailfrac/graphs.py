@@ -1,4 +1,4 @@
-"""Directed multigraph core: edge lists, parsing, and degree primitives.
+"""Directed multigraph core: edge lists, edge subsets, parsing and the imbalance primitive.
 
 Vertices are dense integer indices ``0..n-1``. An edge is identified by its
 position in the edge list, never by its endpoint pair, so parallel edges stay
@@ -9,8 +9,8 @@ values can be shared freely across workers.
 ``parse_graph`` checks the edge lines in bulk, and reruns the same token and
 endpoint rules (``_decimal_ints``, ``_endpoint_fault``) line by line only to
 name the first bad line. ``trails`` and ``counting`` read ``Multigraph.edges``
-as given; ``trails`` also uses ``_imbalances``. Each degree helper decodes its
-subset once, in time linear in ``m``. Every value type derives from ``Record``.
+as given; ``trails`` also uses ``_imbalances`` and ``eis`` uses
+``_check_vertices``. Every value type derives from ``Record``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class Multigraph(Record):
 class EdgeSubset(Record):
     """A subset of edge positions of a width-``m`` edge list, stored as a bit mask.
 
-    Bit ``i`` of ``mask`` is set iff edge ``i`` is a member.
+    Bit ``i`` of ``mask`` is set iff edge ``i`` is a member; ``mask_indices(mask)``
+    lists the members in ascending order.
     """
 
     mask: int
@@ -140,19 +141,6 @@ class EdgeSubset(Record):
             digits[width - 1 - i] = one
         return cls(int(digits, 2) if width else 0, width)
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(mask_indices(self.mask))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.width and bool(self.mask >> i & 1)
-
 
 SubsetLike = EdgeSubset | Iterable[int]
 
@@ -169,11 +157,15 @@ def _is_int(value: object) -> bool:
     return not isinstance(value, bool)
 
 
-def _check_ints(**values: object) -> None:
-    """``ValueError`` naming the first of the keyword arguments that is not an integer by ``_is_int``."""
+def _check_ints(**values: object) -> list[int]:
+    """The keyword values as ``int``s, or ``ValueError`` naming the first that is not an integer by ``_is_int``.
+
+    A numpy integer comes back as an ``int``, so shifts and products of it cannot wrap at 64 bits.
+    """
     for name, value in values.items():
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    return list(map(operator.index, values.values()))
 
 
 def _endpoint_fault(s: int, t: int, n: int) -> str | None:
@@ -291,21 +283,6 @@ def serialize_graph(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-Degree = namedtuple("Degree", "in_degree out_degree total")
-
-
-class DegreeProfile(Record):
-    """Per-vertex (in, out) degree pairs with respect to one edge subset."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def total_in(self) -> int:
-        return sum(p[0] for p in self.pairs)
-
-    def total_out(self) -> int:
-        return sum(p[1] for p in self.pairs)
-
-
 def _imbalances(edges: tuple[Edge, ...], idx: Iterable[int]) -> dict[int, int]:
     """Out-minus-in imbalance for every vertex touched by the listed edges."""
     imb: dict[int, int] = {}
@@ -314,42 +291,3 @@ def _imbalances(edges: tuple[Edge, ...], idx: Iterable[int]) -> dict[int, int]:
         imb[s] = imb.get(s, 0) + 1
         imb[t] = imb.get(t, 0) - 1
     return imb
-
-
-def _members(g: Multigraph, subset: SubsetLike | None) -> Iterable[int]:
-    """Ascending member edge indices of a subset (default: all edges), decoded once."""
-    return range(g.m) if subset is None else mask_indices(subset_mask(g, subset))
-
-
-def degree(g: Multigraph, v: int, subset: SubsetLike | None = None) -> Degree:
-    """In-, out-, and total degree of ``v`` with respect to a subset (default: all edges)."""
-    _check_vertices((v,), g.vertex_count)
-    ins, outs = degree_profile(g, subset).pairs[v]
-    return Degree(ins, outs, ins + outs)
-
-
-def degree_profile(g: Multigraph, subset: SubsetLike | None = None) -> DegreeProfile:
-    ins = [0] * g.vertex_count
-    outs = [0] * g.vertex_count
-    edges = g.edges
-    for i in _members(g, subset):
-        s, t = edges[i]
-        outs[s] += 1
-        ins[t] += 1
-    return DegreeProfile(tuple(zip(ins, outs)))
-
-
-def imbalance_profile(g: Multigraph, subset: SubsetLike | None = None) -> tuple[int, ...]:
-    """Per-vertex out-degree minus in-degree with respect to a subset; sums to zero."""
-    imb = _imbalances(g.edges, _members(g, subset))
-    return tuple(imb.get(v, 0) for v in range(g.vertex_count))
-
-
-def incident_edges(g: Multigraph, vertices: Iterable[int]) -> EdgeSubset:
-    """Edges with at least one endpoint in ``vertices``."""
-    vertices = tuple(vertices)
-    # Checked before deduplication: a set would fold True into 1.
-    _check_vertices(vertices, g.vertex_count)
-    vs = set(vertices)
-    hits = (i for i, (s, t) in enumerate(g.edges) if s in vs or t in vs)
-    return EdgeSubset.from_indices(hits, g.m)

@@ -131,11 +131,6 @@ def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
     return TrailVerdict(True, trail, None)
 
 
-def witness_trail(g: Multigraph, subset: SubsetLike) -> tuple[int, ...] | None:
-    """A chaining edge ordering of the subset, or None when it is not a trail."""
-    return is_trail(g, subset).witness
-
-
 def oracle_is_trail(g: Multigraph, subset: SubsetLike) -> bool:
     """Ground-truth decision by trying all ``|T|!`` orderings.
 

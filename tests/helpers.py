@@ -238,49 +238,9 @@ def reference_hierholzer(g: Multigraph, indices) -> tuple[int, ...]:
     return tuple(reversed(reversed_trail))
 
 
-def reference_degree(g: Multigraph, v: int, mask: int | None = None) -> tuple[int, int, int]:
-    """In-, out- and total degree of ``v`` by testing every edge's bit of the mask.
-
-    The quadratic original of ``trailfrac.graphs.degree``, as are the three
-    ``reference_*`` helpers below of ``degree_profile``, ``imbalance_profile``
-    and ``incident_edges``. ``mask=None`` means all edges.
-    """
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range for n={g.vertex_count}")
-    mask = (1 << g.m) - 1 if mask is None else mask
-    ins = outs = 0
-    for i, (s, t) in enumerate(g.edges):
-        if mask >> i & 1:
-            if t == v:
-                ins += 1
-            if s == v:
-                outs += 1
-    return ins, outs, ins + outs
-
-
-def reference_degree_profile(g: Multigraph, mask: int | None = None) -> tuple[tuple[int, int], ...]:
-    """Per-vertex ``(in, out)`` degree pairs by testing every edge's bit of the mask."""
-    mask = (1 << g.m) - 1 if mask is None else mask
-    ins = [0] * g.vertex_count
-    outs = [0] * g.vertex_count
-    for i, (s, t) in enumerate(g.edges):
-        if mask >> i & 1:
-            outs[s] += 1
-            ins[t] += 1
-    return tuple(zip(ins, outs))
-
-
-def reference_imbalance_profile(g: Multigraph, mask: int | None = None) -> tuple[int, ...]:
-    """Per-vertex out-degree minus in-degree from :func:`reference_degree_profile`."""
-    return tuple(out - inn for inn, out in reference_degree_profile(g, mask))
-
-
 def reference_incident_edges(g: Multigraph, vertices) -> int:
     """Mask of the edges with an endpoint in ``vertices``, grown one bit at a time."""
     vs = set(vertices)
-    for v in vs:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} out of range for n={g.vertex_count}")
     mask = 0
     for i, (s, t) in enumerate(g.edges):
         if s in vs or t in vs:

@@ -3,13 +3,14 @@ import math
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from trailfrac import (
+    Case2TailCheck,
     balance_window_probability,
     bound_report,
     case2_tail_bound_check,
-    central_binomial_bound_check,
     count_family_closed_form,
     family_ratio_csv,
     family_ratio_scan,
@@ -18,7 +19,8 @@ from trailfrac import (
     theorem_upper_bound,
     vandermonde_identity_check,
 )
-from trailfrac.bounds import _central_binomials
+from trailfrac import bounds
+from trailfrac.bounds import _central_binomials, _central_bound_holds
 
 # sha256 of family_ratio_csv(family_ratio_scan(4, 2000)), recorded while every
 # d came from a fresh math.comb (count_family_closed_form).
@@ -75,19 +77,23 @@ class TestStirling:
             stirling_bounds(0)
 
 
+def central_bound_holds(c):
+    return _central_bound_holds(c, math.comb(c, c // 2))
+
+
 class TestCentralBinomial:
     def test_c2(self):
-        assert central_binomial_bound_check(2)
+        assert central_bound_holds(2)
         assert Fraction(math.comb(2, 1), 4) == Fraction(1, 2)
         assert math.e / (math.pi * math.sqrt(2)) == pytest.approx(0.612, abs=1e-3)
 
     def test_c4(self):
-        assert central_binomial_bound_check(4)
+        assert central_bound_holds(4)
         assert Fraction(math.comb(4, 2), 16) == Fraction(3, 8)
         assert math.e / (2 * math.pi) == pytest.approx(0.4326, abs=1e-3)
 
     def test_c100_exact_big_integers(self):
-        assert central_binomial_bound_check(100)
+        assert central_bound_holds(100)
         lhs = Fraction(math.comb(100, 50), 1 << 100)
         assert float(lhs) == pytest.approx(0.0795892, abs=1e-6)
         assert math.e / (10 * math.pi) == pytest.approx(0.0865256, abs=1e-6)
@@ -96,14 +102,10 @@ class TestCentralBinomial:
         # int / int and float(Fraction) round the same rational the same way.
         for c in range(2, 401, 2):
             exact = float(Fraction(math.comb(c, c // 2), 1 << c)) <= math.e / (math.pi * math.sqrt(c))
-            assert central_binomial_bound_check(c) is exact
+            assert central_bound_holds(c) is exact
 
     def test_holds_up_to_200(self):
-        assert all(central_binomial_bound_check(c) for c in range(2, 201, 2))
-
-    def test_rejects_odd(self):
-        with pytest.raises(ValueError):
-            central_binomial_bound_check(3)
+        assert all(central_bound_holds(c) for c in range(2, 201, 2))
 
 
 class TestBalanceWindow:
@@ -279,3 +281,86 @@ def test_proof_ingredient_summary_all_hold():
         "case2_tail": True,
         "vandermonde": True,
     }
+
+
+ALL_HOLD = dict.fromkeys(["stirling_sandwich", "central_binomial", "balance_window", "case2_tail", "vandermonde"], True)
+
+
+def _raise_lower_stirling_bracket(monkeypatch):
+    # 2e-5 is just past the smallest margin, log(n!) - lower ~ 1/(12n) = 1.67e-5 at n = 5000,
+    # and short of the margin at n = 4000: only the loop's last steps can fail.
+    monkeypatch.setattr(bounds, "_LOG_SQRT_2PI", bounds._LOG_SQRT_2PI + 2e-5)
+    assert bounds._stirling_logs(4000)[0] <= math.lgamma(4001)
+
+
+def _double_last_central_binomial(monkeypatch):
+    holds = bounds._central_bound_holds
+
+    def doubled_at_last(c, central):
+        return holds(c, 2 * central if c == bounds._CENTRAL_MAX else central)
+
+    monkeypatch.setattr(bounds, "_central_bound_holds", doubled_at_last)
+
+
+def _widen_last_balance_window(monkeypatch):
+    # Four weights, j-1 .. j+2, exceed three central terms near the centre.
+    numerator = bounds._window_numerator
+
+    def widened_at_last(c, j):
+        return numerator(c, j) + (bounds._comb0(c, j + 2) if c == bounds._WINDOW_MAX else 0)
+
+    monkeypatch.setattr(bounds, "_window_numerator", widened_at_last)
+
+
+def _fail_last_case2_tail(monkeypatch):
+    tail = bounds._case2_tail
+    failed = Case2TailCheck(1.0, 0.5, False)
+    monkeypatch.setattr(bounds, "_case2_tail", lambda r: tail(r) if r < bounds._CASE2_MAX else failed)
+
+
+def _fail_last_vandermonde(monkeypatch):
+    holds = bounds._vandermonde_holds
+    monkeypatch.setattr(bounds, "_vandermonde_holds", lambda m: holds(m) and m < bounds._VANDERMONDE_MAX)
+
+
+@pytest.mark.parametrize(
+    "flag, breaker",
+    [
+        ("stirling_sandwich", _raise_lower_stirling_bracket),
+        ("central_binomial", _double_last_central_binomial),
+        ("balance_window", _widen_last_balance_window),
+        ("case2_tail", _fail_last_case2_tail),
+        ("vandermonde", _fail_last_vandermonde),
+    ],
+)
+def test_proof_ingredient_summary_flags_a_broken_ingredient(monkeypatch, flag, breaker):
+    """Each flag reads False, and only it, when its ingredient fails at the last point of its range."""
+    breaker(monkeypatch)
+    assert proof_ingredient_summary() == {**ALL_HOLD, flag: False}
+
+
+# Each public bounds function that takes integers, with valid integer arguments.
+INTEGER_CALLS = [
+    (theorem_upper_bound, {"m": 16}),
+    (stirling_bounds, {"n": 5}),
+    (balance_window_probability, {"c": 64, "j": 32}),
+    (case2_tail_bound_check, {"r": 64}),
+    (vandermonde_identity_check, {"m": 200}),
+    (family_ratio_scan, {"m_min": 4, "m_max": 200}),
+    (bound_report, {"m": 1024}),
+    (count_family_closed_form, {"m": 200}),
+]
+
+
+@pytest.mark.parametrize("fn, args", INTEGER_CALLS, ids=[fn.__name__ for fn, _ in INTEGER_CALLS])
+@pytest.mark.parametrize("kind", ["bool", "float", "numpy"])
+def test_integer_arguments(fn, args, kind):
+    """bool and float are refused by name; a numpy integer gives the int's answer, never a 64-bit wrap."""
+    for name, value in args.items():
+        if kind == "numpy":
+            got = fn(**{**args, name: np.int64(value)})
+            assert got == fn(**args) and repr(got) == repr(fn(**args))
+        else:
+            bad = True if kind == "bool" else float(value)
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                fn(**{**args, name: bad})

@@ -13,7 +13,6 @@ from trailfrac import (
     BoundReport,
     Case2TailCheck,
     CountReport,
-    DegreeProfile,
     EdgeSubset,
     EisSequence,
     EstimateReport,
@@ -34,6 +33,38 @@ class TestPublicNames:
             for name in names:
                 assert getattr(trailfrac, name) is getattr(sub, name)
         assert sorted(trailfrac.__all__) == sorted(n for names in trailfrac._EXPORTS.values() for n in names)
+
+    def test_public_names_are_pinned(self):
+        assert sorted(trailfrac.__all__) == [
+            "BoundReport", "Case2TailCheck", "CountReport", "EXACT_MAX_STATES", "Edge", "EdgeSubset",
+            "EisSequence", "EstimateReport", "FailureReason", "FamilyCount", "FamilyRatioRow",
+            "GraphFormatError", "Multigraph", "ORACLE_MAX_EDGES", "StirlingBounds", "TrailVerdict",
+            "balance_window_probability", "bound_report", "case2_tail_bound_check",
+            "count_family_closed_form", "count_trails_exact", "estimate_trail_fraction",
+            "family_ratio_csv", "family_ratio_scan", "gen_cycle", "gen_family", "gen_path",
+            "gen_random_multigraph", "gen_star", "greedy_eis", "is_trail", "necessary_balance_condition",
+            "oracle_is_trail", "parse_graph", "proof_ingredient_summary", "serialize_graph",
+            "stirling_bounds", "subset_mask", "theorem_upper_bound", "vandermonde_identity_check",
+            "verify_eis", "wilson_interval",
+        ]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "Degree", "DegreeProfile", "degree", "degree_profile", "imbalance_profile", "incident_edges",
+            "witness_trail", "central_binomial_bound_check",
+        ],
+    )
+    def test_deleted_names_do_not_resolve(self, name):
+        with pytest.raises(AttributeError):
+            getattr(trailfrac, name)
+        for module in trailfrac._EXPORTS:
+            assert not hasattr(importlib.import_module(f"trailfrac.{module}"), name)
+
+    def test_edge_subset_is_not_a_container(self):
+        # Members are read with mask_indices(s.mask); `True in s` used to alias edge 1.
+        for member in ("indices", "__len__", "__iter__", "__contains__"):
+            assert not hasattr(EdgeSubset, member)
 
     def test_star_import_binds_every_name(self):
         namespace: dict = {}
@@ -61,7 +92,6 @@ def _instances():
     return [
         Multigraph(3, ((0, 1), (1, 2))),
         EdgeSubset(0b101, 3),
-        DegreeProfile(((0, 1), (1, 1), (1, 0))),
         TrailVerdict(True, (0, 1)),
         TrailVerdict(False, None, FailureReason.DISCONNECTED),
         CountReport(4, 9, Fraction(9, 16), 0.25),
@@ -80,7 +110,6 @@ def _instances():
 GOLDEN_REPRS = [
     "Multigraph(vertex_count=3, edges=(Edge(source=0, target=1), Edge(source=1, target=2)))",
     "EdgeSubset(mask=5, width=3)",
-    "DegreeProfile(pairs=((0, 1), (1, 1), (1, 0)))",
     "TrailVerdict(is_trail=True, witness=(0, 1), failure_reason=None)",
     "TrailVerdict(is_trail=False, witness=None, failure_reason=<FailureReason.DISCONNECTED: 'disconnected'>)",
     "CountReport(m=4, d=9, f=Fraction(9, 16), elapsed=0.25)",
@@ -157,13 +186,12 @@ class TestValueTypes:
         report = BoundReport(theorem_value=0.6, m=5)
         assert report.family_f is None and report.ratio is None
         assert CountReport(elapsed=0.25, f=Fraction(9, 16), d=9, m=4) == CountReport(4, 9, Fraction(9, 16), 0.25)
-        assert EdgeSubset(width=3, mask=5).indices == (0, 2)
+        assert EdgeSubset(width=3, mask=5) == EdgeSubset(5, 3)
 
     def test_signature_lists_fields_and_defaults(self):
         want = {
             Multigraph: "(vertex_count, edges)",
             EdgeSubset: "(mask, width)",
-            DegreeProfile: "(pairs)",
             TrailVerdict: "(is_trail, witness=None, failure_reason=None)",
             CountReport: "(m, d, f, elapsed)",
             EstimateReport: "(estimate, ci_low, ci_high, confidence, samples, seed)",
