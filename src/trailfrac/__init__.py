@@ -43,15 +43,7 @@ _EXPORTS = {
     ),
     "eis": ("EisSequence", "greedy_eis", "verify_eis"),
     "generators": ("gen_cycle", "gen_family", "gen_path", "gen_random_multigraph", "gen_star"),
-    "graphs": (
-        "Edge",
-        "EdgeSubset",
-        "GraphFormatError",
-        "Multigraph",
-        "parse_graph",
-        "serialize_graph",
-        "subset_mask",
-    ),
+    "graphs": ("Edge", "GraphFormatError", "Multigraph", "parse_graph", "serialize_graph"),
     "trails": (
         "ORACLE_MAX_EDGES",
         "FailureReason",

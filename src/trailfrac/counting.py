@@ -372,7 +372,7 @@ def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[fl
     equals ``samples``, their closed forms; the general formula leaves rounding
     residue there, a lower limit above an estimate of 0.
     """
-    _check_ints(successes=successes, samples=samples)
+    successes, samples = _check_ints(successes=successes, samples=samples)
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 <= successes <= samples:
@@ -401,7 +401,7 @@ def estimate_trail_fraction(
     the estimate is the fraction of sampled subsets that are trails. Results
     are bit-identical for a fixed (seed, samples) pair; seeds lie in [0, 2^64).
     """
-    _check_ints(samples=samples, seed=seed)
+    samples, seed = _check_ints(samples=samples, seed=seed)
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 < confidence < 1:

@@ -13,7 +13,7 @@ def gen_family(m: int) -> Multigraph:
     Forward edges (0 -> 1) occupy indices 0..m/2-1, backward edges the rest,
     so subset indices have a stable meaning across runs.
     """
-    _check_ints(m=m)
+    [m] = _check_ints(m=m)
     if m < 2 or m % 2:
         raise ValueError(f"family size m={m} must be a positive even integer")
     half = m // 2
@@ -23,7 +23,7 @@ def gen_family(m: int) -> Multigraph:
 
 def gen_path(k: int) -> Multigraph:
     """Directed path with k edges: 0 -> 1 -> ... -> k."""
-    _check_ints(k=k)
+    [k] = _check_ints(k=k)
     if k < 1:
         raise ValueError(f"path needs at least 1 edge, got k={k}")
     return Multigraph(k + 1, tuple(Edge(i, i + 1) for i in range(k)))
@@ -31,7 +31,7 @@ def gen_path(k: int) -> Multigraph:
 
 def gen_cycle(k: int) -> Multigraph:
     """Directed cycle with k edges: i -> (i+1) mod k."""
-    _check_ints(k=k)
+    [k] = _check_ints(k=k)
     if k < 2:
         raise ValueError(f"cycle needs at least 2 edges, got k={k}")
     return Multigraph(k, tuple(Edge(i, (i + 1) % k) for i in range(k)))
@@ -39,7 +39,7 @@ def gen_cycle(k: int) -> Multigraph:
 
 def gen_star(k: int) -> Multigraph:
     """Out-star: center 0 with edges to leaves 1..k."""
-    _check_ints(k=k)
+    [k] = _check_ints(k=k)
     if k < 1:
         raise ValueError(f"star needs at least 1 leaf, got k={k}")
     return Multigraph(k + 1, tuple(Edge(0, i) for i in range(1, k + 1)))
@@ -51,14 +51,14 @@ def gen_random_multigraph(n: int, m: int, seed: int) -> Multigraph:
 
     Deterministic for a fixed seed.
     """
-    _check_ints(n=n, m=m, seed=seed)
+    n, m, seed = _check_ints(n=n, m=m, seed=seed)
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got m={m}")
     if m > 0 and n < 2:
         raise ValueError(f"need n >= 2 to draw self-loop-free edges, got n={n}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got n={n}")
-    rng = random.Random(int(seed))
+    rng = random.Random(seed)
     edges = []
     for _ in range(m):
         s = rng.randrange(n)

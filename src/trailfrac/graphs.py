@@ -2,14 +2,16 @@
 
 Vertices are dense integer indices ``0..n-1``. An edge is identified by its
 position in the edge list, never by its endpoint pair, so parallel edges stay
-distinguishable and edge subsets are sets of positions. Self-loops are
-forbidden. All types here are immutable and all operations are pure, so
-values can be shared freely across workers.
+distinguishable and an edge subset is an iterable of positions, which
+``_edge_indices`` checks and sorts. Self-loops are forbidden. All types here
+are immutable and all operations are pure, so values can be shared freely
+across workers.
 
 ``parse_graph`` checks the edge lines in bulk, and reruns the same token and
 endpoint rules (``_decimal_ints``, ``_endpoint_fault``) line by line only to
-name the first bad line. ``trails`` and ``counting`` read ``Multigraph.edges``
-as given; ``trails`` also uses ``_imbalances`` and ``eis`` uses
+name the first bad line; ``_edge_indices`` does the same for edge indices.
+``trails`` and ``counting`` read ``Multigraph.edges`` as given; ``trails``
+also uses ``_edge_indices`` and ``_imbalances``, and ``eis`` uses
 ``_check_vertices``. Every value type derives from ``Record``.
 """
 
@@ -86,14 +88,14 @@ class Multigraph(Record):
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        _check_ints(vertex_count=self.vertex_count)
-        if self.vertex_count < 0:
+        [n] = _check_ints(vertex_count=self.vertex_count)
+        if n < 0:
             raise ValueError("vertex_count must be nonnegative")
+        object.__setattr__(self, "vertex_count", n)
         edges = self.edges
         if type(edges) is not tuple or set(map(type, edges)) - {Edge}:
             edges = tuple(Edge(*e) for e in edges)
             object.__setattr__(self, "edges", edges)
-        n = self.vertex_count
         # Endpoints of other types, bool and float among them, go through the full check below.
         if set(map(type, chain.from_iterable(edges))) <= {int} and all(
             0 <= s < n and 0 <= t < n and s != t for s, t in edges
@@ -108,41 +110,6 @@ class Multigraph(Record):
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
-
-
-class EdgeSubset(Record):
-    """A subset of edge positions of a width-``m`` edge list, stored as a bit mask.
-
-    Bit ``i`` of ``mask`` is set iff edge ``i`` is a member; ``mask_indices(mask)``
-    lists the members in ascending order.
-    """
-
-    mask: int
-    width: int
-
-    def __post_init__(self) -> None:
-        _check_ints(**self.__dict__)
-        if self.width < 0:
-            raise ValueError("width must be nonnegative")
-        if not 0 <= self.mask < (1 << self.width):
-            raise ValueError(f"mask {self.mask:#x} does not fit in width {self.width}")
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], width: int) -> EdgeSubset:
-        one = ord("1")
-        digits = bytearray(b"0" * width)  # binary digits, bit i at position width - 1 - i
-        for i in indices:
-            if type(i) is not int and not _is_int(i):
-                raise ValueError(f"edge index {i!r} is not an integer")
-            if not 0 <= i < width:
-                raise ValueError(f"edge index {i} out of range for m={width}")
-            if digits[width - 1 - i] == one:
-                raise ValueError(f"duplicate edge index {i}")
-            digits[width - 1 - i] = one
-        return cls(int(digits, 2) if width else 0, width)
-
-
-SubsetLike = EdgeSubset | Iterable[int]
 
 
 def _is_int(value: object) -> bool:
@@ -189,18 +156,31 @@ def _check_vertices(vertices: Iterable[int], n: int) -> None:
             raise ValueError(f"vertex {v} out of range for n={n}")
 
 
-def mask_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a nonnegative mask, ascending, in time linear in its width."""
-    return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
+def _edge_indices(g: Multigraph, subset: Iterable[int]) -> list[int]:
+    """The edge positions in ``subset`` as ``int``s, ascending; ``ValueError`` naming the first bad one.
 
-
-def subset_mask(g: Multigraph, subset: SubsetLike) -> int:
-    """Normalize an edge subset (EdgeSubset or iterable of indices) to a bit mask."""
-    if isinstance(subset, EdgeSubset):
-        if subset.width != g.m:
-            raise ValueError(f"subset width {subset.width} does not match edge count {g.m}")
-        return subset.mask
-    return EdgeSubset.from_indices(subset, g.m).mask
+    The iterable is read once. Its indices are checked in bulk; if that
+    fails, the same rules rerun one index at a time, in input order, to name
+    the first that is not an integer, lies outside ``0..m-1`` or repeats. A
+    numpy integer passes that rerun and comes back as an ``int``.
+    """
+    idx = list(subset)
+    m = g.m
+    if set(map(type, idx)) <= {int}:
+        ordered = sorted(idx)
+        if not ordered or (0 <= ordered[0] and ordered[-1] < m and len(set(ordered)) == len(ordered)):
+            return ordered
+    seen: set[int] = set()
+    for i in idx:
+        if not _is_int(i):
+            raise ValueError(f"edge index {i!r} is not an integer")
+        j = operator.index(i)
+        if not 0 <= j < m:
+            raise ValueError(f"edge index {i} out of range for m={m}")
+        if j in seen:
+            raise ValueError(f"duplicate edge index {i}")
+        seen.add(j)
+    return sorted(seen)
 
 
 def _decimal_ints(tokens: list[str]) -> Iterator[int]:

@@ -7,7 +7,9 @@ characterization and constructs a witness; :func:`oracle_is_trail` is the
 brute-force ground truth that tries every ordering, kept deliberately naive so
 the fast path can be validated against it. The witness is Hierholzer's walk
 (1873) over out-edge lists in descending index order, so popping a list takes
-its lowest unused edge. Imbalances come from ``graphs``.
+its lowest unused edge. Every function takes the subset as an iterable of
+edge positions and reads it through ``graphs._edge_indices``, which checks
+it and sorts it; imbalances also come from ``graphs``.
 
 The imbalances are computed first. For a balanced subset the walk itself
 decides connectivity: it uses every edge exactly when the subset is weakly
@@ -18,9 +20,10 @@ subset, to tell ``disconnected`` from ``degree_imbalance``.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from enum import Enum
 
-from .graphs import Edge, Multigraph, Record, SubsetLike, _imbalances, mask_indices, subset_mask
+from .graphs import Edge, Multigraph, Record, _edge_indices, _imbalances
 
 ORACLE_MAX_EDGES = 8
 
@@ -107,20 +110,19 @@ def _hierholzer(edges: tuple[Edge, ...], idx: list[int], imbalances: dict[int, i
     return tuple(reversed(reversed_trail))
 
 
-def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
-    """Decide whether the subset can be ordered as a trail; build a witness if so.
+def is_trail(g: Multigraph, subset: Iterable[int]) -> TrailVerdict:
+    """Decide whether the subset of edge positions can be ordered as a trail; build a witness if so.
 
     A subset failing both conditions reports ``disconnected``: scattered edges
     are described by where they sit before how they point. The member edges
-    are decoded from the mask once, in ascending order, and each is visited a
-    fixed number of times, so the cost is near linear in ``m``: a balanced
-    subset costs the imbalance pass and the walk, an imbalanced one the
-    imbalance pass and the union-find pass.
+    are checked and sorted once, and each is then visited a fixed number of
+    times, so the cost is near linear in the subset's size, whatever ``m``
+    is: a balanced subset costs the imbalance pass and the walk, an
+    imbalanced one the imbalance pass and the union-find pass.
     """
-    mask = subset_mask(g, subset)
-    if mask == 0:
+    idx = _edge_indices(g, subset)
+    if not idx:
         return TrailVerdict(False, None, FailureReason.EMPTY_SUBSET)
-    idx = mask_indices(mask)
     imbalances = _imbalances(g.edges, idx)
     if not _balanced(imbalances):
         reason = FailureReason.DEGREE_IMBALANCE if _connected(g.edges, idx) else FailureReason.DISCONNECTED
@@ -131,14 +133,13 @@ def is_trail(g: Multigraph, subset: SubsetLike) -> TrailVerdict:
     return TrailVerdict(True, trail, None)
 
 
-def oracle_is_trail(g: Multigraph, subset: SubsetLike) -> bool:
+def oracle_is_trail(g: Multigraph, subset: Iterable[int]) -> bool:
     """Ground-truth decision by trying all ``|T|!`` orderings.
 
     The empty subset has no edges to order and counts as not-a-trail, matching
     :func:`is_trail`. Guarded to ``|T| <= 8``.
     """
-    mask = subset_mask(g, subset)
-    indices = mask_indices(mask)
+    indices = _edge_indices(g, subset)
     k = len(indices)
     if k > ORACLE_MAX_EDGES:
         raise ValueError(f"subset too large for the permutation oracle (|T|={k} > {ORACLE_MAX_EDGES})")
@@ -156,7 +157,6 @@ def oracle_is_trail(g: Multigraph, subset: SubsetLike) -> bool:
     return False
 
 
-def necessary_balance_condition(g: Multigraph, subset: SubsetLike) -> bool:
+def necessary_balance_condition(g: Multigraph, subset: Iterable[int]) -> bool:
     """Balance test every trail must pass: at most one vertex at +1, one at -1, none beyond."""
-    mask = subset_mask(g, subset)
-    return _balanced(_imbalances(g.edges, mask_indices(mask)))
+    return _balanced(_imbalances(g.edges, _edge_indices(g, subset)))

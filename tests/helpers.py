@@ -47,8 +47,7 @@ def brute_force_d(g: Multigraph) -> int:
     m = g.m
     count = 0
     for mask in range(1, 1 << m):
-        subset = [i for i in range(m) if mask >> i & 1]
-        if perm_oracle(g, subset):
+        if perm_oracle(g, mask_members(mask)):
             count += 1
     return count
 
@@ -248,9 +247,14 @@ def reference_incident_edges(g: Multigraph, vertices) -> int:
     return mask
 
 
+def mask_members(mask: int) -> list[int]:
+    """The edge indices of a subset mask, ascending: bit ``i`` set means edge ``i`` is a member."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def all_subsets(m: int):
     for mask in range(1 << m):
-        yield mask, [i for i in range(m) if mask >> i & 1]
+        yield mask, mask_members(mask)
 
 
 def two_disjoint_two_cycles() -> Multigraph:

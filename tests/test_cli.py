@@ -146,6 +146,29 @@ class TestCheck:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "subset, err",
+        [
+            ("0,9", "edge index 9 out of range for m=3"),
+            ("3", "edge index 3 out of range for m=3"),
+            ("1,1", "duplicate edge index 1"),
+            # Input order names the offender: the range fault at position 1, the duplicate at position 2.
+            ("1,9,1", "edge index 9 out of range for m=3"),
+            ("1,2,1,9", "duplicate edge index 1"),
+            ("0,1.5", "invalid --subset value '0,1.5': expected comma-separated unsigned decimal integers"),
+            ("-1", "invalid --subset value '-1': expected comma-separated unsigned decimal integers"),
+            ("0,", "invalid --subset value '0,': expected comma-separated unsigned decimal integers"),
+            ("0,,1", "invalid --subset value '0,,1': expected comma-separated unsigned decimal integers"),
+        ],
+    )
+    def test_subset_error_goldens(self, capsys, path3_file, subset, err):
+        assert run(capsys, ["check", path3_file, "--subset", subset]) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("subset", ["", " "])
+    def test_empty_subset_golden(self, capsys, path3_file, subset):
+        expected = '{\n  "m": 3,\n  "subset": [],\n  "is_trail": false,\n  "failure_reason": "empty_subset"\n}\n'
+        assert run(capsys, ["check", path3_file, "--subset", subset]) == (0, expected, "")
+
     @pytest.mark.parametrize("subset", ["1_0", "+0", "0,+1", "\u0660", "\uff10", "\u0661,\u0662"])
     def test_integer_aliases_exit_1(self, capsys, path3_file, subset):
         code, out, err = run(capsys, ["check", path3_file, "--subset", subset])

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 import trailfrac
 from trailfrac import (
-    EdgeSubset,
     Multigraph,
     count_family_closed_form,
     count_trails_exact,
@@ -30,7 +29,15 @@ from trailfrac import (
 )
 from trailfrac.counting import _trail_kernel
 
-from helpers import brute_force_d, enumerate_d, numpy_reference_d, pack_columns, small_corpus, two_disjoint_two_cycles
+from helpers import (
+    brute_force_d,
+    enumerate_d,
+    mask_members,
+    numpy_reference_d,
+    pack_columns,
+    small_corpus,
+    two_disjoint_two_cycles,
+)
 
 
 @st.composite
@@ -108,7 +115,7 @@ class TestExactCount:
     def test_matches_is_trail_sum(self):
         g = gen_random_multigraph(4, 9, seed=77)
         expected = sum(
-            is_trail(g, EdgeSubset(mask, g.m)).is_trail for mask in range(1 << g.m)
+            is_trail(g, mask_members(mask)).is_trail for mask in range(1 << g.m)
         )
         report = count_trails_exact(g)
         assert report.d == expected
@@ -265,7 +272,7 @@ class TestFamilyClosedForm:
         g = gen_family(8)
         even = odd = 0
         for mask in range(1, 1 << 8):
-            if is_trail(g, EdgeSubset(mask, 8)).is_trail:
+            if is_trail(g, mask_members(mask)).is_trail:
                 if mask.bit_count() % 2:
                     odd += 1
                 else:
@@ -430,6 +437,11 @@ class TestEstimate:
         g = gen_family(4)
         assert estimate_trail_fraction(g, np.int64(1000), np.uint64(7)) == estimate_trail_fraction(g, 1000, 7)
 
+    def test_numpy_integer_arguments_give_plain_fields(self):
+        report = estimate_trail_fraction(gen_family(4), samples=np.int64(10), seed=np.uint64(1))
+        assert report == estimate_trail_fraction(gen_family(4), samples=10, seed=1)
+        assert [type(v) for v in vars(report).values()] == [float] * 4 + [int] * 2
+
     def test_largest_seed_accepted_and_echoed(self):
         seed = (1 << 64) - 1
         report = estimate_trail_fraction(gen_family(4), samples=1000, seed=seed)
@@ -536,6 +548,8 @@ class TestWilson:
 
     def test_numpy_integer_counts_accepted(self):
         assert wilson_interval(np.int64(7), np.int64(13), 0.9) == wilson_interval(7, 13, 0.9)
+        for successes in (0, 7, 13):
+            assert set(map(type, wilson_interval(np.int64(successes), np.int64(13), 0.9))) == {float}
 
     def test_width_shrinks_with_samples(self):
         widths = []

@@ -84,6 +84,9 @@ class TestFixedShapes:
         np = pytest.importorskip("numpy")
         assert gen_path(np.int64(2)) == gen_path(2)
         assert gen_random_multigraph(np.int64(5), np.int32(12), np.uint64(99)) == gen_random_multigraph(5, 12, 99)
+        # Equal graphs could still hold numpy values; their reprs show that they hold ints.
+        for gen, size in ((gen_family, 4), (gen_path, 2), (gen_cycle, 3), (gen_star, 2)):
+            assert repr(gen(np.int64(size))) == repr(gen(size))
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_path_count_formula(self, k):

@@ -4,18 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from trailfrac import (
     Edge,
-    EdgeSubset,
     GraphFormatError,
     Multigraph,
     gen_family,
     gen_path,
+    greedy_eis,
     parse_graph,
     serialize_graph,
-    subset_mask,
 )
-from trailfrac.graphs import _imbalances, mask_indices
+from trailfrac.graphs import _edge_indices, _imbalances
 
-from helpers import reference_parse_graph
+from helpers import mask_members, reference_parse_graph
 
 
 @st.composite
@@ -36,7 +35,7 @@ def multigraphs(draw, min_n=1, max_n=6, max_m=8):
 def graph_and_subset(draw):
     g = draw(multigraphs())
     mask = draw(st.integers(0, (1 << g.m) - 1))
-    return g, EdgeSubset(mask, g.m)
+    return g, mask_members(mask)
 
 
 class TestParse:
@@ -250,7 +249,13 @@ class TestMultigraphInvariants:
     def test_numpy_integers_accepted(self):
         g = Multigraph(np.int64(3), [(np.int64(0), np.uint8(1)), (1, np.int32(2))])
         assert g == Multigraph(3, [(0, 1), (1, 2)])
-        assert EdgeSubset.from_indices(np.array([0, 2]), np.int64(3)) == EdgeSubset(np.int64(5), 3)
+
+    def test_numpy_vertex_count_stored_as_int(self):
+        g = Multigraph(np.int64(3), [(0, 1), (1, 2)])
+        assert type(g.vertex_count) is int
+        assert repr(gen_path(np.int64(2))) == repr(gen_path(2))
+        # eis reads vertex_count.bit_length(), which numpy integers lack
+        assert greedy_eis(g) == greedy_eis(gen_path(np.int64(2))) == greedy_eis(gen_path(2))
 
     def test_edges_become_an_edge_tuple(self):
         edges = (Edge(0, 1), Edge(1, 2))
@@ -261,46 +266,31 @@ class TestMultigraphInvariants:
             assert type(g.edges) is tuple and all(type(e) is Edge for e in g.edges)
 
 
-class TestEdgeSubset:
+class TestEdgeIndices:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            EdgeSubset.from_indices([1, 1], 4)
+            _edge_indices(gen_path(4), [1, 1])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            EdgeSubset.from_indices([4], 4)
+            _edge_indices(gen_path(4), [4])
 
-    @pytest.mark.parametrize(
-        "mask, width, message",
-        [
-            (True, 1, "mask must be an integer, got True"),
-            (1.0, 1, "mask must be an integer, got 1.0"),
-            (0, 1.0, "width must be an integer, got 1.0"),
-        ],
-    )
-    def test_non_integer_fields_rejected(self, mask, width, message):
-        with pytest.raises(ValueError) as info:
-            EdgeSubset(mask, width)
-        assert str(info.value) == message
+    def test_no_edges(self):
+        g = Multigraph(0, ())
+        assert _edge_indices(g, []) == []
+        with pytest.raises(ValueError, match="^edge index 0 out of range for m=0$"):
+            _edge_indices(g, [0])
 
-    def test_mask_must_fit_width(self):
-        with pytest.raises(ValueError):
-            EdgeSubset(0b100, 2)
-
-    def test_empty_width(self):
-        s = EdgeSubset.from_indices([], 0)
-        assert s == EdgeSubset(0, 0)
+    def test_numpy_indices_come_back_as_ints(self):
+        for subset in (np.array([2, 0]), [np.uint8(2), np.int64(0)]):
+            indices = _edge_indices(gen_path(3), subset)
+            assert indices == [0, 2] and set(map(type, indices)) == {int}
 
     @given(st.sets(st.integers(0, 299)), st.integers(0, 70))
-    def test_indices_round_trip(self, chosen, spare):
-        width = max(chosen, default=-1) + 1 + spare
-        s = EdgeSubset.from_indices(sorted(chosen, reverse=True), width)
-        assert s.mask == sum(1 << i for i in chosen)
-        assert mask_indices(s.mask) == sorted(chosen)
-
-    def test_subset_mask_width_mismatch(self):
-        with pytest.raises(ValueError, match="width"):
-            subset_mask(gen_path(2), EdgeSubset(0b1, 3))
+    def test_indices_sorted(self, chosen, spare):
+        g = Multigraph(2, [(0, 1)] * (max(chosen, default=-1) + 1 + spare))
+        assert _edge_indices(g, sorted(chosen, reverse=True)) == sorted(chosen)
+        assert mask_members(sum(1 << i for i in chosen)) == sorted(chosen)
 
 
 class TestImbalance:
@@ -317,4 +307,4 @@ class TestImbalance:
     @given(graph_and_subset())
     def test_sums_to_zero(self, gs):
         g, subset = gs
-        assert sum(_imbalances(g.edges, mask_indices(subset.mask)).values()) == 0
+        assert sum(_imbalances(g.edges, subset).values()) == 0

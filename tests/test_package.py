@@ -13,7 +13,6 @@ from trailfrac import (
     BoundReport,
     Case2TailCheck,
     CountReport,
-    EdgeSubset,
     EisSequence,
     EstimateReport,
     FailureReason,
@@ -36,23 +35,24 @@ class TestPublicNames:
 
     def test_public_names_are_pinned(self):
         assert sorted(trailfrac.__all__) == [
-            "BoundReport", "Case2TailCheck", "CountReport", "EXACT_MAX_STATES", "Edge", "EdgeSubset",
-            "EisSequence", "EstimateReport", "FailureReason", "FamilyCount", "FamilyRatioRow",
-            "GraphFormatError", "Multigraph", "ORACLE_MAX_EDGES", "StirlingBounds", "TrailVerdict",
+            "BoundReport", "Case2TailCheck", "CountReport", "EXACT_MAX_STATES", "Edge", "EisSequence",
+            "EstimateReport", "FailureReason", "FamilyCount", "FamilyRatioRow", "GraphFormatError",
+            "Multigraph", "ORACLE_MAX_EDGES", "StirlingBounds", "TrailVerdict",
             "balance_window_probability", "bound_report", "case2_tail_bound_check",
             "count_family_closed_form", "count_trails_exact", "estimate_trail_fraction",
             "family_ratio_csv", "family_ratio_scan", "gen_cycle", "gen_family", "gen_path",
             "gen_random_multigraph", "gen_star", "greedy_eis", "is_trail", "necessary_balance_condition",
             "oracle_is_trail", "parse_graph", "proof_ingredient_summary", "serialize_graph",
-            "stirling_bounds", "subset_mask", "theorem_upper_bound", "vandermonde_identity_check",
-            "verify_eis", "wilson_interval",
+            "stirling_bounds", "theorem_upper_bound", "vandermonde_identity_check", "verify_eis",
+            "wilson_interval",
         ]
 
     @pytest.mark.parametrize(
         "name",
         [
             "Degree", "DegreeProfile", "degree", "degree_profile", "imbalance_profile", "incident_edges",
-            "witness_trail", "central_binomial_bound_check",
+            "witness_trail", "central_binomial_bound_check", "EdgeSubset", "SubsetLike", "subset_mask",
+            "mask_indices",
         ],
     )
     def test_deleted_names_do_not_resolve(self, name):
@@ -60,11 +60,6 @@ class TestPublicNames:
             getattr(trailfrac, name)
         for module in trailfrac._EXPORTS:
             assert not hasattr(importlib.import_module(f"trailfrac.{module}"), name)
-
-    def test_edge_subset_is_not_a_container(self):
-        # Members are read with mask_indices(s.mask); `True in s` used to alias edge 1.
-        for member in ("indices", "__len__", "__iter__", "__contains__"):
-            assert not hasattr(EdgeSubset, member)
 
     def test_star_import_binds_every_name(self):
         namespace: dict = {}
@@ -91,7 +86,6 @@ def _instances():
     """One instance of each value type (two of TrailVerdict and BoundReport), elapsed fixed."""
     return [
         Multigraph(3, ((0, 1), (1, 2))),
-        EdgeSubset(0b101, 3),
         TrailVerdict(True, (0, 1)),
         TrailVerdict(False, None, FailureReason.DISCONNECTED),
         CountReport(4, 9, Fraction(9, 16), 0.25),
@@ -109,7 +103,6 @@ def _instances():
 # repr of each of _instances(), recorded when these types were frozen dataclasses.
 GOLDEN_REPRS = [
     "Multigraph(vertex_count=3, edges=(Edge(source=0, target=1), Edge(source=1, target=2)))",
-    "EdgeSubset(mask=5, width=3)",
     "TrailVerdict(is_trail=True, witness=(0, 1), failure_reason=None)",
     "TrailVerdict(is_trail=False, witness=None, failure_reason=<FailureReason.DISCONNECTED: 'disconnected'>)",
     "CountReport(m=4, d=9, f=Fraction(9, 16), elapsed=0.25)",
@@ -137,7 +130,7 @@ class TestValueTypes:
         assert hash(Multigraph(3, [[0, 1]])) == hash(Multigraph(3, ((0, 1),)))
 
     def test_field_changes_break_equality(self):
-        assert EdgeSubset(5, 3) != EdgeSubset(5, 4)
+        assert StirlingBounds(5, 3) != StirlingBounds(5, 4)
         assert BoundReport(5, 0.6) != BoundReport(5, 0.6, ratio=1.0)
 
     def test_different_types_never_equal(self):
@@ -147,8 +140,8 @@ class TestValueTypes:
                 if type(a) is not type(b):
                     assert a != b and not a == b
         # Same field values, different types.
-        assert StirlingBounds(5, 3) != EdgeSubset(5, 3)
-        assert EdgeSubset(5, 3) != (5, 3)
+        assert StirlingBounds(5, 3) != BoundReport(5, 3)
+        assert StirlingBounds(5, 3) != (5, 3)
 
     def test_same_fields_different_types_never_equal(self):
         class A(Record):
@@ -186,12 +179,11 @@ class TestValueTypes:
         report = BoundReport(theorem_value=0.6, m=5)
         assert report.family_f is None and report.ratio is None
         assert CountReport(elapsed=0.25, f=Fraction(9, 16), d=9, m=4) == CountReport(4, 9, Fraction(9, 16), 0.25)
-        assert EdgeSubset(width=3, mask=5) == EdgeSubset(5, 3)
+        assert StirlingBounds(log_upper=3, log_lower=5) == StirlingBounds(5, 3)
 
     def test_signature_lists_fields_and_defaults(self):
         want = {
             Multigraph: "(vertex_count, edges)",
-            EdgeSubset: "(mask, width)",
             TrailVerdict: "(is_trail, witness=None, failure_reason=None)",
             CountReport: "(m, d, f, elapsed)",
             EstimateReport: "(estimate, ci_low, ci_high, confidence, samples, seed)",
@@ -221,10 +213,10 @@ class TestValueTypes:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: EdgeSubset(1),
-            lambda: EdgeSubset(1, 2, 3),
-            lambda: EdgeSubset(1, 2, width=2),
-            lambda: EdgeSubset(mask=1, size=2),
+            lambda: StirlingBounds(1),
+            lambda: StirlingBounds(1, 2, 3),
+            lambda: StirlingBounds(1, 2, log_upper=2),
+            lambda: StirlingBounds(log_lower=1, size=2),
             lambda: BoundReport(5),
             lambda: BoundReport(1, 2, 3, 4, 5),
             lambda: TrailVerdict(),
@@ -242,9 +234,6 @@ class TestValueTypes:
             (lambda: Multigraph(2, [(0, 0)]), "edge 0: self-loop at vertex 0 is forbidden"),
             (lambda: Multigraph(2, [(0, 1), (0, 2)]), "edge 1: endpoint (0, 2) out of range for n=2"),
             (lambda: Multigraph(2, [(-1, 1)]), "edge 0: endpoint (-1, 1) out of range for n=2"),
-            (lambda: EdgeSubset(8, 3), "mask 0x8 does not fit in width 3"),
-            (lambda: EdgeSubset(-1, 3), "mask -0x1 does not fit in width 3"),
-            (lambda: EdgeSubset(0, -1), "width must be nonnegative"),
         ],
     )
     def test_validation_errors_unchanged(self, call, message):

@@ -3,13 +3,14 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trailfrac import (
-    EdgeSubset,
     FailureReason,
     Multigraph,
+    TrailVerdict,
     gen_family,
     gen_path,
     gen_random_multigraph,
@@ -17,9 +18,7 @@ from trailfrac import (
     necessary_balance_condition,
     oracle_is_trail,
 )
-from trailfrac.graphs import mask_indices
-
-from helpers import all_subsets, chains, perm_oracle, reference_hierholzer, two_disjoint_two_cycles
+from helpers import all_subsets, chains, mask_members, perm_oracle, reference_hierholzer, two_disjoint_two_cycles
 
 WALK_EDGES = 60_000
 # sha256 of repr(witness) for the whole walk below and for the walk without
@@ -41,7 +40,7 @@ def graph_and_subset(draw, max_n=5, max_m=7):
         edges.append((s, t + 1 if t >= s else t))
     g = Multigraph(n, tuple(edges))
     mask = draw(st.integers(0, (1 << m) - 1))
-    return g, EdgeSubset(mask, m)
+    return g, mask_members(mask)
 
 
 def closed_walk(n: int, length: int, seed: int) -> Multigraph:
@@ -246,21 +245,74 @@ class TestNecessaryBalance:
         assert not is_trail(g, [0, 1, 2, 3]).is_trail
 
 
-@pytest.mark.parametrize("fn", [is_trail, oracle_is_trail, necessary_balance_condition])
+SUBSET_FORMS = [is_trail, oracle_is_trail, necessary_balance_condition]
+
+
+@pytest.mark.parametrize("fn", SUBSET_FORMS)
 @pytest.mark.parametrize(
-    "subset, message",
+    "make, message",
     [
-        (EdgeSubset(1, 2), "subset width 2 does not match edge count 3"),
-        ([0, 0], "duplicate edge index 0"),
-        ([5], "edge index 5 out of range for m=3"),
-        ([True], "edge index True is not an integer"),
+        (lambda: [0, 0], "duplicate edge index 0"),
+        (lambda: [5], "edge index 5 out of range for m=3"),
+        (lambda: [-1], "edge index -1 out of range for m=3"),
+        (lambda: [True], "edge index True is not an integer"),
+        (lambda: [0, False], "edge index False is not an integer"),
+        (lambda: [1.0], "edge index 1.0 is not an integer"),
+        (lambda: ["1"], "edge index '1' is not an integer"),
+        (lambda: [None], "edge index None is not an integer"),
+        # The first offender in input order is named, by the first rule it breaks.
+        (lambda: [1, 9, 1], "edge index 9 out of range for m=3"),
+        (lambda: [1, 2, 1, 9], "duplicate edge index 1"),
+        (lambda: [1, "x", 9], "edge index 'x' is not an integer"),
+        (lambda: [9, "x"], "edge index 9 out of range for m=3"),
+        (lambda: [np.int64(1), 1], "duplicate edge index 1"),
+        (lambda: np.array([0, 5]), "edge index 5 out of range for m=3"),
+        (lambda: np.array([1, 1]), "duplicate edge index 1"),
+        (lambda: np.array([0.0]), "edge index np.float64(0.0) is not an integer"),
+        (lambda: range(2, 4), "edge index 3 out of range for m=3"),
+        (lambda: (i for i in [1, 1]), "duplicate edge index 1"),
+        (lambda: (i for i in [0, 7]), "edge index 7 out of range for m=3"),
     ],
-    ids=["width", "duplicate", "range", "bool"],
+    ids=[
+        "duplicate", "range", "negative", "bool", "false", "float", "str", "none",
+        "range-before-duplicate", "duplicate-before-range", "str-before-range", "range-before-str",
+        "numpy-scalar-duplicate", "array-range", "array-duplicate", "array-float", "range-object",
+        "generator-duplicate", "generator-range",
+    ],
 )
-def test_malformed_subset_errors(fn, subset, message):
+def test_malformed_subset_errors(fn, make, message):
     """Every subset-taking function reads its subset through one rule, with one set of messages."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        fn(gen_path(3), subset)
+        fn(gen_path(3), make())
+
+
+@pytest.mark.parametrize(
+    "make, verdict, oracle, balanced",
+    [
+        (lambda: np.array([0, 1]), TrailVerdict(True, (0, 1), None), True, True),
+        (lambda: np.array([], dtype=np.int64), TrailVerdict(False, None, FailureReason.EMPTY_SUBSET), False, True),
+        (lambda: [np.uint8(2), 0], TrailVerdict(False, None, FailureReason.DISCONNECTED), False, False),
+        (lambda: range(3), TrailVerdict(True, (0, 1, 2), None), True, True),
+        (lambda: (i for i in [0, 1]), TrailVerdict(True, (0, 1), None), True, True),
+        (lambda: [2, 1, 0], TrailVerdict(True, (0, 1, 2), None), True, True),
+        (lambda: {0, 1}, TrailVerdict(True, (0, 1), None), True, True),
+    ],
+    ids=["array", "empty-array", "numpy-scalars", "range-object", "generator", "descending", "set"],
+)
+def test_subset_forms(make, verdict, oracle, balanced):
+    """Any iterable of integer indices is a subset, numpy's included; a generator is read once."""
+    g = gen_path(3)
+    result = is_trail(g, make())
+    assert result == verdict
+    assert result.witness is None or set(map(type, result.witness)) == {int}
+    assert oracle_is_trail(g, make()) is oracle
+    assert necessary_balance_condition(g, make()) is balanced
+
+
+@pytest.mark.parametrize("fn", SUBSET_FORMS)
+def test_non_iterable_subset(fn):
+    with pytest.raises(TypeError):
+        fn(gen_path(3), 5)
 
 
 class TestOracleEquivalence:
@@ -276,8 +328,8 @@ class TestOracleEquivalence:
         ids=["path3", "family4", "two-2cycles", "rand-n3", "rand-n2"],
     )
     def test_exhaustive_against_independent_oracle(self, g):
-        for mask, subset in all_subsets(g.m):
-            verdict = is_trail(g, EdgeSubset(mask, g.m))
+        for _, subset in all_subsets(g.m):
+            verdict = is_trail(g, subset)
             assert verdict.is_trail == perm_oracle(g, subset), f"mismatch at subset {subset}"
             assert verdict.is_trail == oracle_is_trail(g, subset)
 
@@ -286,15 +338,26 @@ class TestOracleEquivalence:
     def test_verdict_properties(self, gs):
         g, subset = gs
         verdict = is_trail(g, subset)
-        assert verdict.is_trail == perm_oracle(g, mask_indices(subset.mask))
+        assert verdict.is_trail == perm_oracle(g, subset)
         if verdict.is_trail:
             assert verdict.witness is not None
-            assert sorted(verdict.witness) == mask_indices(subset.mask)
+            assert sorted(verdict.witness) == subset
             assert chains(g, verdict.witness)
             assert necessary_balance_condition(g, subset)
         else:
             assert verdict.witness is None
             assert verdict.failure_reason is not None
+
+    @settings(max_examples=150)
+    @given(graph_and_subset(max_m=10), st.randoms(use_true_random=False), st.booleans())
+    def test_input_order_is_irrelevant(self, gs, rnd, as_numpy):
+        """A shuffled index list, numpy integers or not, gets the sorted list's verdict, reason and witness."""
+        g, subset = gs
+        shuffled = list(map(np.int64, subset)) if as_numpy else list(subset)
+        rnd.shuffle(shuffled)
+        verdict = is_trail(g, shuffled)
+        assert verdict == is_trail(g, subset)
+        assert verdict.witness is None or set(map(type, verdict.witness)) == {int}
 
 
 class TestLongWalk:
@@ -312,7 +375,7 @@ class TestLongWalk:
     def test_two_missing_edges_imbalance(self, long_walk):
         # edges 0 and 1 share no endpoint, so dropping both leaves two +1 vertices
         assert not set(long_walk.edges[0]) & set(long_walk.edges[1])
-        subset = EdgeSubset.from_indices(range(2, WALK_EDGES), WALK_EDGES)
+        subset = range(2, WALK_EDGES)
         verdict = is_trail(long_walk, subset)
         assert verdict.failure_reason is FailureReason.DEGREE_IMBALANCE
         assert not necessary_balance_condition(long_walk, subset)
@@ -391,7 +454,7 @@ class TestWalkDecidedReasons:
         verdict = is_trail(g, subset)
         reason = euler_reason(g, subset)
         assert reason is not None
-        assert verdict == is_trail(g, EdgeSubset((1 << g.m) - 1, g.m))
+        assert verdict == is_trail(g, reversed(range(g.m)))
         assert (verdict.is_trail, verdict.witness, verdict.failure_reason) == (False, None, reason)
 
     def test_each_component_alone_is_a_trail(self):
