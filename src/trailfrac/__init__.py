@@ -29,7 +29,6 @@ _EXPORTS = {
         "proof_ingredient_summary",
         "stirling_bounds",
         "theorem_upper_bound",
-        "vandermonde_identity_check",
     ),
     "counting": (
         "EXACT_MAX_STATES",

@@ -94,20 +94,23 @@ def _hierholzer(edges: tuple[Edge, ...], idx: list[int], imbalances: dict[int, i
     if start is None:
         start = edges[idx[0]][0]
 
-    vertex_stack = [start]
+    # The walk stands at the target of the top stacked edge, or at the start
+    # when the stack is empty; popping an edge steps back to its source.
+    v = start
     edge_stack: list[int] = []
     reversed_trail: list[int] = []
-    while vertex_stack:
-        lst = out.get(vertex_stack[-1])
+    while True:
+        lst = out.get(v)
         if lst:
             e = lst.pop()
             edge_stack.append(e)
-            vertex_stack.append(edges[e][1])
+            v = edges[e][1]
+        elif edge_stack:
+            e = edge_stack.pop()
+            reversed_trail.append(e)
+            v = edges[e][0]
         else:
-            vertex_stack.pop()
-            if edge_stack:
-                reversed_trail.append(edge_stack.pop())
-    return tuple(reversed(reversed_trail))
+            return tuple(reversed(reversed_trail))
 
 
 def is_trail(g: Multigraph, subset: Iterable[int]) -> TrailVerdict:

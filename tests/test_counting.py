@@ -102,6 +102,12 @@ class TestExactCount:
         assert report.d == 49
         assert report.f == Fraction(49, 64)
 
+    def test_report_is_a_value(self):
+        # Two counts of one graph are the same report: equal, with equal hashes.
+        g = gen_random_multigraph(4, 9, seed=77)
+        a, b = count_trails_exact(g), count_trails_exact(g)
+        assert a == b and hash(a) == hash(b)
+
     def test_edgeless_graph(self):
         report = count_trails_exact(gen_random_multigraph(3, 0, seed=1))
         assert report.d == 0
