@@ -14,14 +14,14 @@ m = 14 000 takes about 1.4 s instead of about 19 s on a 2-vCPU VM.
 
 The scan and ``bound_report`` take the family's d from one closed form,
 ``_family_d``; ``counting.count_family_closed_form`` is the tests' second route.
+Reports hold plain integers and floats: ``BoundReport.family_f`` builds its
+``Fraction`` when read, and ``family_ratio_csv`` loads ``decimal`` to write d.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from decimal import Decimal
-from fractions import Fraction
 
 from .graphs import Record, _check_ints
 
@@ -207,8 +207,11 @@ def family_ratio_csv(rows: Sequence[FamilyRatioRow]) -> str:
     """Render scan rows as CSV with >= 10 significant digits per decimal.
 
     d goes through ``Decimal``, which writes ints of any length; ``str(int)``
-    stops at the interpreter's 4300-digit limit, passed near m = 14 280.
+    stops at the interpreter's int/str digit limit (4300 by default), which
+    d passes near m = 14 280.
     """
+    from decimal import Decimal
+
     lines = ["m,d,f,f_sqrt_m,theorem_bound"]
     for row in rows:
         lines.append(
@@ -218,12 +221,19 @@ def family_ratio_csv(rows: Sequence[FamilyRatioRow]) -> str:
 
 
 class BoundReport(Record):
-    """Headline rate at one m, with the family's exact fraction when m is even."""
+    """Headline rate at one m, with the family's d and d / 2^m * sqrt(m) when m is even."""
 
     m: int
     theorem_value: float
-    family_f: Fraction | None = None
+    family_d: int | None = None
     ratio: float | None = None
+
+    @property
+    def family_f(self) -> Fraction | None:
+        """The family's exact fraction d / 2^m, built on each read; None for odd m."""
+        from fractions import Fraction
+
+        return None if self.family_d is None else Fraction(self.family_d, 1 << self.m)
 
     @property
     def k(self) -> float:
@@ -239,10 +249,10 @@ class BoundReport(Record):
 def bound_report(m: int) -> BoundReport:
     [m] = _check_ints(m=m)
     value = theorem_upper_bound(m)
-    if m % 2 == 0:
-        f = Fraction(_family_d(m, math.comb(m, m // 2)), 1 << m)
-        return BoundReport(m=m, theorem_value=value, family_f=f, ratio=float(f) * math.sqrt(m))
-    return BoundReport(m=m, theorem_value=value)
+    if m % 2:
+        return BoundReport(m, value)
+    d = _family_d(m, math.comb(m, m // 2))
+    return BoundReport(m, value, d, d / (1 << m) * math.sqrt(m))
 
 
 def proof_ingredient_summary() -> dict[str, bool]:

@@ -6,9 +6,11 @@ status 1 and a diagnostic on stderr; usage errors exit with status 2.
 
 Each handler imports the modules it calls, so a command loads only its own
 part of the package: ``count`` loads ``graphs`` and ``counting``, never
-``trails``, ``eis``, ``bounds`` or numpy. The library returns values;
-``cli`` alone shapes every payload from them and writes every exact
-fraction, through ``_ratio``; it also times ``count`` for its ``elapsed``.
+``trails``, ``eis``, ``bounds``, numpy, ``fractions`` or ``decimal``. The
+library returns values; ``cli`` alone shapes every payload from them, writes
+each exact fraction as ``f"{d}/{1 << m}"`` and times ``count``. d passes the
+interpreter's int/str digit limit from m = 14 280, so ``main`` lifts it once
+the arguments are parsed; ``graphs._decimal_ints`` caps input numerals itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from itertools import chain
 
 from .graphs import _decimal_ints, parse_graph, serialize_graph
 
@@ -55,17 +56,6 @@ def _csv_of(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ratio(numerator: int, denominator: int) -> str:
-    """The exact fraction ``numerator/denominator``, unreduced, as a string.
-
-    ``Decimal`` writes ints of any length; ``str(int)`` stops at the
-    interpreter's int-to-str digit limit, which d passes from m = 14 280.
-    """
-    from decimal import Decimal
-
-    return f"{Decimal(numerator)}/{Decimal(denominator)}"
-
-
 # Types that json writes as a bare literal.
 _SCALARS = {str, int, float, bool, type(None)}
 
@@ -99,22 +89,11 @@ def _json(value, pad: str = "") -> str:
 
 
 def _render(payload, fmt: str, text_fn) -> str:
-    # Exact counts pass the interpreter's limit on int-to-str digits (4300 by
-    # default) once m exceeds about 14 280. The limit is lifted only while the
-    # output is written: parsing the input relies on it to reject huge numerals.
-    # Strings built before this point write such ints through ``_ratio``.
-    # JSON goes through ``_json``, which writes the bytes of
-    # ``json.dumps(payload, indent=2)`` with one C-encoder call per container of scalars.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        if fmt == "json":
-            return _json(payload) + "\n"
-        if fmt == "csv":
-            return _csv_of(payload)
-        return text_fn(payload)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    if fmt == "json":
+        return _json(payload) + "\n"
+    if fmt == "csv":
+        return _csv_of(payload)
+    return text_fn(payload)
 
 
 def _cmd_check(args) -> str:
@@ -156,7 +135,7 @@ def _cmd_count(args) -> str:
     report = count_trails_exact(g)
     elapsed = time.perf_counter() - start
     m, d = report.m, report.d
-    payload = {"m": m, "d": d, "f": _ratio(d, 1 << m), "f_decimal": d / (1 << m), "elapsed": elapsed}
+    payload = {"m": m, "d": d, "f": f"{d}/{1 << m}", "f_decimal": d / (1 << m), "elapsed": elapsed}
 
     def text(p) -> str:
         return (
@@ -173,9 +152,7 @@ def _cmd_estimate(args) -> str:
     from .counting import estimate_trail_fraction
 
     g = _load_graph(args.graph)
-    report = estimate_trail_fraction(
-        g, samples=args.samples, seed=args.seed, confidence=args.confidence
-    )
+    report = estimate_trail_fraction(g, args.samples, args.seed, args.confidence)
     payload = dict(vars(report))
 
     def text(p) -> str:
@@ -194,7 +171,8 @@ def _cmd_eis(args) -> str:
 
     g = _load_graph(args.graph)
     seq = greedy_eis(g)
-    non_isolated = len(set(chain.from_iterable(g.edges)))
+    # Each touched vertex is eliminated exactly once.
+    non_isolated = sum(seq.eliminated_per_step)
     payload = {
         "vertices": list(seq.vertices),
         "fresh_edges": list(seq.fresh_edges),
@@ -234,7 +212,7 @@ def _cmd_scan(args) -> str:
             "m": r.m,
             "d": r.d,
             "f": r.f,
-            "f_exact": _ratio(r.d, 1 << r.m),
+            "f_exact": f"{r.d}/{1 << r.m}",
             "f_sqrt_m": r.f_sqrt_m,
             "theorem_bound": r.theorem_bound,
         }
@@ -258,14 +236,14 @@ def _cmd_bounds(args) -> str:
 
     report = bound_report(args.m)
     checks = proof_ingredient_summary()
-    f = report.family_f
+    m, d = report.m, report.family_d
     payload = {
-        "m": report.m,
+        "m": m,
         "theorem_value": report.theorem_value,
         "k": report.k,
         "r": report.r,
-        "family_f": None if f is None else _ratio(f.numerator, f.denominator),
-        "family_f_decimal": None if f is None else float(f),
+        "family_f": None if d is None else f"{d}/{1 << m}",
+        "family_f_decimal": None if d is None else d / (1 << m),
         "ratio": report.ratio,
     }
     payload.update({f"check_{name}": ok for name, ok in checks.items()})
@@ -360,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse's ``type=int`` still runs under the interpreter's digit limit.
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         output = _HANDLERS[args.command](args)
         if args.out:
@@ -370,6 +351,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
     sys.stdout.write(output)
     return 0
 

@@ -10,7 +10,8 @@ vertex order that keeps the frontier, the vertices with both decided and
 undecided classes, small; a live state records what the undecided classes
 still need to know about the decided ones. Its cost grows with the number
 of live states, not with 2^m, and a budget of ``EXACT_MAX_STATES`` bounds
-it. Only the standard library runs on this path.
+it. Only the standard library runs on this path; the report holds m and d,
+and loads ``fractions`` only when its ``f``, d / 2^m, is read.
 
 ``estimate_trail_fraction`` draws subsets from m independent fair bits per
 sample. Sample ``i`` takes the ``ceil(m/64)`` Philox words at positions
@@ -31,7 +32,6 @@ import heapq
 import math
 from collections import Counter
 from collections.abc import Callable
-from fractions import Fraction
 from functools import reduce
 from itertools import chain
 
@@ -47,11 +47,17 @@ EXACT_MAX_STATES = 200_000
 _BLOCK_CELLS = 1 << 21
 
 class CountReport(Record):
-    """Exact count result; ``f`` is the exact rational d / 2^m."""
+    """Exact count result: d of the 2^m edge subsets are trails."""
 
     m: int
     d: int
-    f: Fraction
+
+    @property
+    def f(self) -> Fraction:
+        """The exact rational d / 2^m, built on each read."""
+        from fractions import Fraction
+
+        return Fraction(self.d, 1 << self.m)
 
 
 class EstimateReport(Record):
@@ -342,7 +348,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
             states, done = _retire(states, frontier.index(v))
             frontier.remove(v)
             d += done
-    return CountReport(m=g.m, d=d, f=Fraction(d, 1 << g.m))
+    return CountReport(g.m, d)
 
 
 def count_family_closed_form(m: int) -> FamilyCount:
@@ -416,11 +422,4 @@ def estimate_trail_fraction(
         size = min(block, samples - done)
         successes += count_trails(philox.random_raw(size * words).reshape(size, words).T)
     ci_low, ci_high = wilson_interval(successes, samples, confidence)
-    return EstimateReport(
-        estimate=successes / samples,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        confidence=confidence,
-        samples=samples,
-        seed=seed,
-    )
+    return EstimateReport(successes / samples, ci_low, ci_high, confidence, samples, seed)

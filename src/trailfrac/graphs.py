@@ -183,17 +183,24 @@ def _edge_indices(g: Multigraph, subset: Iterable[int]) -> list[int]:
     return sorted(seen)
 
 
+_MAX_DIGITS = 4300  # longest numeral read: sys.int_info.default_max_str_digits
+
+
 def _decimal_ints(tokens: list[str]) -> Iterator[int]:
-    """The tokens as integers, converted lazily; ``ValueError`` unless each is a run of ASCII digits.
+    """The tokens as integers, converted lazily; ``ValueError`` unless each is a run of at most 4300 ASCII digits.
 
     ``int`` alone also takes signs, underscores, surrounding blanks and
     non-ASCII digits, so ``+0``, ``1_0`` or full-width and Arabic-Indic digits
     would silently alias an index. The joined tokens are tested once, at C
-    level; ``int`` still raises on an empty token or an overlong run.
+    level, and their lengths only when they are longer together than the cap,
+    so a caller who lifts the interpreter's int/str digit limit reads the
+    same numerals; ``int`` still raises on an empty token.
     """
     digits = "".join(tokens)
     if digits and not (digits.isascii() and digits.isdigit()):
         raise ValueError("a token is not a run of ASCII digits")
+    if len(digits) > _MAX_DIGITS and max(map(len, tokens)) > _MAX_DIGITS:
+        raise ValueError(f"a token is longer than {_MAX_DIGITS} digits")
     return map(int, tokens)
 
 
@@ -241,7 +248,7 @@ def _bulk_edges(body: list[str]) -> tuple[Edge, ...]:
     """The edges of the ``src dst`` lines, by C-level string and int operations.
 
     ``ValueError`` unless every line holds exactly two tokens and every token
-    is a run of ASCII digits short enough for ``int``; its message is the tail
+    is a run of at most ``_MAX_DIGITS`` ASCII digits; its message is the tail
     of the parse error. Endpoints are left to the ``Multigraph`` check.
     """
     if not body:

@@ -9,6 +9,8 @@ every subset: it shares no code with the frontier count it checks.
 from __future__ import annotations
 
 import itertools
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -153,6 +155,17 @@ def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...
                 removed += 1
         eliminated.append(removed)
     return tuple(vertices), tuple(fresh_edges), tuple(eliminated)
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    """Run the block under ``sys.set_int_max_str_digits(limit)`` (0 lifts the limit), then restore it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def reference_decimal_ints(tokens) -> list[int]:

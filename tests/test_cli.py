@@ -26,7 +26,7 @@ from trailfrac import (
 from trailfrac import cli
 from trailfrac.cli import main
 
-from helpers import two_disjoint_two_cycles
+from helpers import int_digit_limit, two_disjoint_two_cycles
 
 # sha256 of the output of `trailfrac bounds --m 1024` (JSON).
 GOLDEN_BOUNDS_M1024_SHA256 = "d2bab7b24c5b889ff0f97071e86024abcf077d2283ee319a64c1a2f8651dc54c"
@@ -55,14 +55,10 @@ def run(capsys, argv):
 def run_at_default_digit_limit(capsys, argv):
     """``run`` under the interpreter's default 4300-digit int-to-str limit,
     checking that the call leaves the limit as it found it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with int_digit_limit(4300):
         result = run(capsys, argv)
-        # Lifted only while rendering: parse_graph relies on the limit.
+        # main lifts the limit only until it returns.
         assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(limit)
     return result
 
 
@@ -174,6 +170,22 @@ class TestCheck:
         code, out, err = run(capsys, ["check", path3_file, "--subset", subset])
         assert (code, out) == (1, "")
         assert "invalid --subset value" in err
+
+    @pytest.mark.parametrize("limit", [4300, 0], ids=["default-limit", "lifted-limit"])
+    def test_numerals_past_4300_characters_exit_1(self, capsys, tmp_path, path3_file, limit):
+        longest, overlong = "0" * 4299 + "1", "0" * 4300 + "1"
+        line = f"0 {overlong}"
+        bad_file = tmp_path / "overlong.txt"
+        bad_file.write_text(f"3 1\n{line}\n")
+        with int_digit_limit(limit):
+            code, out, err = run(capsys, ["check", path3_file, "--subset", f"0,{longest}"])
+            assert (code, json.loads(out)["subset"], err) == (0, [0, 1], "")
+            assert run(capsys, ["check", path3_file, "--subset", f"0,{overlong}"]) == (
+                1, "", f"error: invalid --subset value '0,{overlong}': expected comma-separated unsigned decimal integers\n"
+            )
+            assert run(capsys, ["check", str(bad_file), "--subset", "0"]) == (
+                1, "", f"error: edge line 0: malformed {line!r}, expected two unsigned decimal integers\n"
+            )
 
 
 class TestCount:
@@ -474,18 +486,16 @@ class TestJsonRendering:
     """``cli._render`` writes the bytes of ``json.dumps(payload, indent=2)``."""
 
     @staticmethod
-    def dumps_indent2(payload) -> str:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return json.dumps(payload, indent=2) + "\n"
-        finally:
-            sys.set_int_max_str_digits(limit)
+    def render_and_dump(payload) -> tuple[str, str]:
+        """``cli._render`` and ``json.dumps(payload, indent=2)``, under the lifted digit limit ``main`` renders in."""
+        with int_digit_limit(0):
+            return cli._render(payload, "json", None), json.dumps(payload, indent=2) + "\n"
 
     @settings(max_examples=200, deadline=None)
     @given(json_values)
     def test_matches_json_dumps(self, payload):
-        assert cli._render(payload, "json", None) == self.dumps_indent2(payload)
+        rendered, dumped = self.render_and_dump(payload)
+        assert rendered == dumped
 
     @pytest.mark.parametrize(
         "payload",
@@ -504,7 +514,8 @@ class TestJsonRendering:
         ],
     )
     def test_edge_shapes(self, payload):
-        assert cli._render(payload, "json", None) == self.dumps_indent2(payload)
+        rendered, dumped = self.render_and_dump(payload)
+        assert rendered == dumped
 
 
 def walk_graph(seed: int, n: int, length: int, closed: bool) -> list[tuple[int, int]]:
@@ -705,21 +716,18 @@ class TestImports:
             else:
                 assert not self.HEAVY & added, argv
 
-    def test_commands_load_no_typing(self, tmp_path, family4_file):
-        # -S keeps site, and any .pth file it runs, from loading typing first.
-        calls = [
-            ["count", family4_file],
-            ["check", family4_file, "--subset", "0,2", "--witness"],
-            ["eis", family4_file],
-            ["bounds", "--m", "64"],
-        ]
-        for argv in calls:
-            argv = argv + ["--out", str(tmp_path / "out.txt")]
-            code = f"from trailfrac.cli import main\nassert main({argv!r}) == 0"
-            assert "typing" not in self.added_modules(code, "-S"), argv
+    # Each module a command does not run, with the commands that must not load it.
+    UNUSED = [
+        ("typing", {"count", "check", "eis", "bounds"}),
+        # pathlib loads urllib.parse and ipaddress.
+        ("pathlib", {"count", "check", "eis", "bounds", "scan", "gen"}),
+        # The exact fractions are written from m and d; only scan's CSV loads decimal.
+        ("fractions", {"count", "check", "eis", "bounds", "gen"}),
+        ("decimal", {"count", "check", "eis", "bounds", "gen"}),
+    ]
 
-    def test_commands_load_no_pathlib(self, tmp_path, family4_file):
-        # pathlib loads urllib.parse and ipaddress; -S keeps a .pth file from loading it first.
+    def test_commands_load_no_unused_module(self, tmp_path, family4_file):
+        # -S keeps site, and any .pth file it runs, from loading a module first.
         # estimate is left out: numpy cannot be imported under -S.
         calls = [
             ["count", family4_file],
@@ -730,6 +738,6 @@ class TestImports:
             ["gen", "family", "--m", "4"],
         ]
         for argv in calls:
-            argv = argv + ["--out", str(tmp_path / "out.txt")]
-            code = f"from trailfrac.cli import main\nassert main({argv!r}) == 0"
-            assert "pathlib" not in self.added_modules(code, "-S"), argv
+            code = f"from trailfrac.cli import main\nassert main({argv + ['--out', str(tmp_path / 'out.txt')]!r}) == 0"
+            added = set(self.added_modules(code, "-S"))
+            assert not {module for module, commands in self.UNUSED if argv[0] in commands} & added, argv

@@ -14,7 +14,7 @@ from trailfrac import (
 )
 from trailfrac.graphs import _edge_indices, _imbalances
 
-from helpers import mask_members, reference_parse_graph
+from helpers import int_digit_limit, mask_members, reference_parse_graph
 
 
 @st.composite
@@ -105,6 +105,33 @@ class TestParse:
     def test_huge_numeral_rejected(self):
         with pytest.raises(GraphFormatError, match="malformed header"):
             parse_graph("9" * 5000 + " 0\n")
+
+
+# Numerals of 4300 characters, the longest read, and of 4301.
+LONGEST, OVERLONG = "0" * 4299 + "1", "0" * 4300 + "1"
+
+
+class TestNumeralCap:
+    """Numerals past 4300 characters are refused whatever the interpreter's digit limit."""
+
+    @pytest.fixture(params=[4300, 0], ids=["default-limit", "lifted-limit"], autouse=True)
+    def limit(self, request):
+        with int_digit_limit(request.param):
+            yield
+
+    def test_header(self):
+        assert parse_graph(f"{LONGEST} 0\n").vertex_count == 1
+        text = f"{OVERLONG} 0"
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text + "\n")
+        assert str(info.value) == f"malformed header {text!r}: expected two unsigned decimal integers"
+
+    def test_edge_lines(self):
+        assert parse_graph(f"3 2\n0 1\n{LONGEST} 2\n").edges == ((0, 1), (1, 2))
+        line = f"{OVERLONG} 2"
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(f"3 2\n0 1\n{line}\n")
+        assert str(info.value) == f"edge line 1: malformed {line!r}, expected two unsigned decimal integers"
 
 
 # Tokens that are not a vertex index: aliases int() would accept, junk, and

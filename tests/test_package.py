@@ -3,6 +3,7 @@
 import copy
 import importlib
 import inspect
+import math
 import pickle
 from fractions import Fraction
 
@@ -88,7 +89,7 @@ def _instances():
         Multigraph(3, ((0, 1), (1, 2))),
         TrailVerdict(True, (0, 1)),
         TrailVerdict(False, None, FailureReason.DISCONNECTED),
-        CountReport(4, 9, Fraction(9, 16)),
+        CountReport(4, 9),
         EstimateReport(0.5, 0.25, 0.75, 0.95, 100, 7),
         FamilyCount(4, 5, 4, 9),
         EisSequence((0, 1), (0, 2), (1, 1)),
@@ -96,7 +97,7 @@ def _instances():
         Case2TailCheck(0.5, 1.0, True),
         FamilyRatioRow(4, 9, 0.5625, 1.125, 0.7071067811865476),
         BoundReport(5, 0.6),
-        BoundReport(4, 0.7071067811865476, Fraction(9, 16), 1.125),
+        BoundReport(4, 0.7071067811865476, 9, 1.125),
     ]
 
 
@@ -105,15 +106,15 @@ GOLDEN_REPRS = [
     "Multigraph(vertex_count=3, edges=(Edge(source=0, target=1), Edge(source=1, target=2)))",
     "TrailVerdict(is_trail=True, witness=(0, 1), failure_reason=None)",
     "TrailVerdict(is_trail=False, witness=None, failure_reason=<FailureReason.DISCONNECTED: 'disconnected'>)",
-    "CountReport(m=4, d=9, f=Fraction(9, 16))",
+    "CountReport(m=4, d=9)",
     "EstimateReport(estimate=0.5, ci_low=0.25, ci_high=0.75, confidence=0.95, samples=100, seed=7)",
     "FamilyCount(m=4, even_count=5, odd_count=4, total=9)",
     "EisSequence(vertices=(0, 1), fresh_edges=(0, 2), eliminated_per_step=(1, 1))",
     "StirlingBounds(log_lower=1.5, log_upper=2.5)",
     "Case2TailCheck(exact_tail_bound=0.5, paper_bound=1.0, holds=True)",
     "FamilyRatioRow(m=4, d=9, f=0.5625, f_sqrt_m=1.125, theorem_bound=0.7071067811865476)",
-    "BoundReport(m=5, theorem_value=0.6, family_f=None, ratio=None)",
-    "BoundReport(m=4, theorem_value=0.7071067811865476, family_f=Fraction(9, 16), ratio=1.125)",
+    "BoundReport(m=5, theorem_value=0.6, family_d=None, ratio=None)",
+    "BoundReport(m=4, theorem_value=0.7071067811865476, family_d=9, ratio=1.125)",
 ]
 
 
@@ -177,26 +178,40 @@ class TestValueTypes:
         assert TrailVerdict(True) == TrailVerdict(is_trail=True, witness=None, failure_reason=None)
         assert TrailVerdict(False, failure_reason=FailureReason.EMPTY_SUBSET).witness is None
         report = BoundReport(theorem_value=0.6, m=5)
-        assert report.family_f is None and report.ratio is None
-        assert CountReport(f=Fraction(9, 16), d=9, m=4) == CountReport(4, 9, Fraction(9, 16))
+        assert report.family_d is None and report.family_f is None and report.ratio is None
+        assert CountReport(d=9, m=4) == CountReport(4, 9)
         assert StirlingBounds(log_upper=3, log_lower=5) == StirlingBounds(5, 3)
 
     def test_signature_lists_fields_and_defaults(self):
         want = {
             Multigraph: "(vertex_count, edges)",
             TrailVerdict: "(is_trail, witness=None, failure_reason=None)",
-            CountReport: "(m, d, f)",
+            CountReport: "(m, d)",
             EstimateReport: "(estimate, ci_low, ci_high, confidence, samples, seed)",
             FamilyCount: "(m, even_count, odd_count, total)",
             EisSequence: "(vertices, fresh_edges, eliminated_per_step)",
             StirlingBounds: "(log_lower, log_upper)",
             Case2TailCheck: "(exact_tail_bound, paper_bound, holds)",
             FamilyRatioRow: "(m, d, f, f_sqrt_m, theorem_bound)",
-            BoundReport: "(m, theorem_value, family_f=None, ratio=None)",
+            BoundReport: "(m, theorem_value, family_d=None, ratio=None)",
         }
         assert {type(x) for x in _instances()} == set(want)
         for kind, signature in want.items():
             assert str(inspect.signature(kind)) == signature, kind
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 15, 16, 1024, 1025, 15_999, 16_000])
+    def test_fractions_are_built_from_m_and_d(self, m):
+        # d of the path with m edges, or of the family, which bound_report covers for even m.
+        d = m * (m + 1) // 2 if m % 2 else trailfrac.count_family_closed_form(m).total
+        count = trailfrac.count_trails_exact(trailfrac.gen_path(m) if m % 2 else trailfrac.gen_family(m))
+        assert (count.m, count.d) == (m, d) and count.f == Fraction(d, 2**m)
+        report = trailfrac.bound_report(m)
+        if m % 2:
+            assert report.family_d is report.family_f is None
+        else:
+            f = report.family_f
+            assert report.family_d == d and (f.numerator, f.denominator) == (d, 2**m)
+            assert report.ratio == float(Fraction(d, 2**m)) * math.sqrt(m)
 
     def test_positional_keyword_and_mixed_calls_agree(self):
         for x in _instances():
