@@ -34,6 +34,10 @@ _WINDOW_MAX = 64
 _CASE2_MAX = 64
 _VANDERMONDE_MAX = 200
 
+# The least integer that float() rounds past the largest float; the headline
+# rate divides by m as a float.
+_M_LIMIT = (1 << 1024) - (1 << 970)
+
 
 def theorem_upper_bound(m: int) -> float:
     """The headline rate sqrt(log2(m) / m) for a graph with m edges.
@@ -44,6 +48,8 @@ def theorem_upper_bound(m: int) -> float:
     [m] = _check_ints(m=m)
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    if m >= _M_LIMIT:
+        raise ValueError(f"m must be below 2**1024 - 2**970 (the least integer float() cannot convert); got a {m.bit_length()}-bit m")
     return _headline_rate(m)
 
 

@@ -40,6 +40,15 @@ class TestTheoremUpperBound:
         with pytest.raises(ValueError):
             theorem_upper_bound(1)
 
+    def test_rejects_m_past_the_largest_float(self):
+        # 2^1024 - 2^970 is the least integer that float() cannot convert.
+        limit = (1 << 1024) - (1 << 970)
+        assert theorem_upper_bound(limit - 1) == math.sqrt(math.log2(limit - 1) / (limit - 1))
+        for m in (limit, 1 << 1024, 10**309):
+            for fn in (theorem_upper_bound, bound_report):
+                with pytest.raises(ValueError, match=r"m must be below 2\*\*1024 - 2\*\*970 .*; got a \d+-bit m"):
+                    fn(m)
+
 
 class TestStirling:
     def test_n1(self):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import trailfrac
 from trailfrac import (
     Multigraph,
     count_family_closed_form,
+    gen_cycle,
     gen_family,
     gen_random_multigraph,
     parse_graph,
@@ -50,6 +52,12 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for child interpreters."""
+    src = str(Path(trailfrac.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run_at_default_digit_limit(capsys, argv):
@@ -345,6 +353,11 @@ class TestBounds:
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BOUNDS_M1024_SHA256
         f = Fraction(count_family_closed_form(1024).total, 1 << 1024)
         assert json.loads(out)["family_f"] == f"{f.numerator}/{f.denominator}"
+
+    def test_m_past_the_largest_float_exits_1(self, capsys):
+        assert run(capsys, ["bounds", "--m", str(10**309)]) == (
+            1, "", "error: m must be below 2**1024 - 2**970 (the least integer float() cannot convert); got a 1027-bit m\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_past_int_digit_limit(self, capsys, fmt):
@@ -676,8 +689,6 @@ class TestImports:
     @staticmethod
     def added_modules(code: str, *flags: str) -> list[str]:
         """Modules that ``code``, run in a fresh interpreter with ``flags``, adds to those ``site`` loaded."""
-        src = str(Path(trailfrac.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -685,7 +696,7 @@ class TestImports:
             "added = sorted(set(sys.modules) - before)\n"
             "print(' '.join(added))\n"
         )
-        out = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, *flags, "-c", script], env=src_env(), capture_output=True, text=True, check=True)
         return out.stdout.split()
 
     def test_bare_import_loads_no_submodule(self):
@@ -741,3 +752,117 @@ class TestImports:
             code = f"from trailfrac.cli import main\nassert main({argv + ['--out', str(tmp_path / 'out.txt')]!r}) == 0"
             added = set(self.added_modules(code, "-S"))
             assert not {module for module, commands in self.UNUSED if argv[0] in commands} & added, argv
+
+
+def call_main(capsys, argv) -> tuple[int, bytes, bytes]:
+    """``main(argv)`` in process: exit code, stdout and stderr, with a usage error's SystemExit as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def call_child(argv) -> tuple[int, bytes, bytes]:
+    """``python -m trailfrac.cli argv`` in a child: exit code, stdout and stderr."""
+    child = subprocess.run([sys.executable, "-m", "trailfrac.cli", *argv], env=src_env(), capture_output=True)
+    return child.returncode, child.stdout, child.stderr
+
+
+class TestCyclicGarbage:
+    """``entrypoint`` runs a command without the cyclic collector. That is safe
+    while a command's cyclic garbage does not grow with its input: a process
+    with no collector would leak cycles built per edge, state or sample."""
+
+    @staticmethod
+    def argvs(tmp_path, scale: int) -> list[list[str]]:
+        graphs = {
+            "family": gen_family(20 * scale),
+            "cycle": gen_cycle(100 * scale),
+            "random": gen_random_multigraph(20 * scale, 100 * scale, 1),
+        }
+        paths = {}
+        for name, g in graphs.items():
+            paths[name] = str(tmp_path / f"{name}{scale}.txt")
+            Path(paths[name]).write_text(serialize_graph(g))
+        return [
+            ["count", paths["family"]],
+            ["check", paths["cycle"], "--subset", ",".join(map(str, range(100 * scale))), "--witness"],
+            ["estimate", paths["random"], "--samples", str(1000 * scale), "--seed", "1"],
+            ["eis", paths["random"]],
+            ["bounds", "--m", str(64 * scale)],
+            ["scan", "--m-min", "4", "--m-max", str(40 * scale)],
+            ["gen", "random", "--n", str(10 * scale), "--m", str(100 * scale), "--seed", "1"],
+        ]
+
+    def test_garbage_does_not_grow_with_input(self, capsys, tmp_path):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for small, large in zip(self.argvs(tmp_path, 1), self.argvs(tmp_path, 10)):
+                # The first call loads the command's modules and fills caches.
+                assert main(small) == 0
+                gc.collect()
+                assert main(small) == 0
+                freed_small = gc.collect()
+                assert main(large) == 0
+                freed_large = gc.collect()
+                assert freed_small == freed_large, small[0]
+                capsys.readouterr()
+        finally:
+            if enabled:
+                gc.enable()
+
+
+class TestEntrypoint:
+    def test_large_outputs_match_main(self, capsys, tmp_path):
+        m = 10**4
+        random_path, walk_path = tmp_path / "random.txt", tmp_path / "walk.txt"
+        random_path.write_text(serialize_graph(gen_random_multigraph(2000, m, 1)))
+        walk_path.write_text(serialize_graph(Multigraph(500, tuple(walk_graph(1, 500, m, closed=True)))))
+        out_path = tmp_path / "out.txt"
+        for argv in (
+            ["eis", str(random_path)],
+            ["check", str(walk_path), "--subset", ",".join(map(str, range(m))), "--witness"],
+        ):
+            code, out, err = call_main(capsys, argv)
+            assert (code, err) == (0, b"") and len(out) > m
+            assert call_child(argv) == (code, out, err)
+            assert call_child(argv + ["--out", str(out_path)]) == (0, b"", b"")
+            assert out_path.read_bytes() == out
+
+    EXITS = [(["bounds", "--m", "16"], 0), (["count", "missing.txt"], 1), (["frobnicate"], 2)]
+
+    @pytest.mark.parametrize("argv, want", EXITS, ids=["ok", "domain-error", "usage-error"])
+    def test_exit_codes_keep_stderr(self, capsys, tmp_path, monkeypatch, argv, want):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = call_main(capsys, argv)
+        assert code == want and bool(err) == (want != 0)
+        assert call_child(argv) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        EXITS + [(["bounds", "--m", "16"], "ZeroDivisionError")],
+        ids=["ok", "domain-error", "usage-error", "uncaught-exception"],
+    )
+    def test_collector_off_and_frozen_after_entrypoint(self, tmp_path, argv, want):
+        script = (
+            "import gc, sys\n"
+            "from trailfrac import cli\n"
+            "assert cli.main(['bounds', '--m', '4', '--out', 'bounds.json']) == 0\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+            f"sys.argv = ['trailfrac', *{argv!r}]\n"
+            f"if isinstance({want!r}, str):\n"
+            "    cli._HANDLERS['bounds'] = lambda args: 1 / 0\n"
+            "try:\n"
+            "    cli.entrypoint()\n"
+            "except BaseException as exc:\n"
+            "    print(getattr(exc, 'code', type(exc).__name__), gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", script], env=src_env(), cwd=tmp_path, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        lines = child.stdout.splitlines()
+        # A bare main() leaves the collector as it found it.
+        assert lines[0] == "True 0"
+        assert lines[-1] == f"{want} False True"
