@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "eis": ("EisSequence", "greedy_eis", "verify_eis"),
     "generators": ("gen_cycle", "gen_family", "gen_path", "gen_random_multigraph", "gen_star"),
-    "graphs": ("Edge", "GraphFormatError", "Multigraph", "parse_graph", "serialize_graph"),
+    "graphs": ("GraphFormatError", "Multigraph", "parse_graph", "serialize_graph"),
     "trails": (
         "ORACLE_MAX_EDGES",
         "FailureReason",

@@ -57,12 +57,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_of(payload) -> str:
-    rows = payload if isinstance(payload, list) else [payload]
-    header = ",".join(rows[0].keys())
-    lines = [header]
-    lines.extend(",".join(_cell(v) for v in row.values()) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_of(payload: dict) -> str:
+    return ",".join(payload) + "\n" + ",".join(map(_cell, payload.values())) + "\n"
 
 
 # Types that json writes as a bare literal.

@@ -35,7 +35,7 @@ from collections.abc import Callable
 from functools import reduce
 from itertools import chain
 
-from .graphs import Edge, Multigraph, Record, _check_ints
+from .graphs import Multigraph, Record, _check_ints
 
 # Live frontier states allowed after any step of the exact count. The densest
 # graph tried, gen_random_multigraph(8, 80, 1), peaks at 1.3e5 states and
@@ -79,7 +79,7 @@ class FamilyCount(Record):
     total: int
 
 
-def _trail_kernel(edges: tuple[Edge, ...]) -> Callable[[np.ndarray], int]:
+def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], int]:
     """The batched trail decision for the graph whose edge ``j`` is ``edges[j]``.
 
     Returns ``count_trails(words)``, which takes a ``(W, B)`` uint64 block with

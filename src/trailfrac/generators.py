@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Edge, Multigraph, _check_ints
+from .graphs import Multigraph, _check_ints
 
 
 def gen_family(m: int) -> Multigraph:
@@ -17,8 +17,7 @@ def gen_family(m: int) -> Multigraph:
     if m < 2 or m % 2:
         raise ValueError(f"family size m={m} must be a positive even integer")
     half = m // 2
-    edges = tuple(Edge(0, 1) for _ in range(half)) + tuple(Edge(1, 0) for _ in range(half))
-    return Multigraph(2, edges)
+    return Multigraph(2, ((0, 1),) * half + ((1, 0),) * half)
 
 
 def gen_path(k: int) -> Multigraph:
@@ -26,7 +25,7 @@ def gen_path(k: int) -> Multigraph:
     [k] = _check_ints(k=k)
     if k < 1:
         raise ValueError(f"path needs at least 1 edge, got k={k}")
-    return Multigraph(k + 1, tuple(Edge(i, i + 1) for i in range(k)))
+    return Multigraph(k + 1, tuple((i, i + 1) for i in range(k)))
 
 
 def gen_cycle(k: int) -> Multigraph:
@@ -34,7 +33,7 @@ def gen_cycle(k: int) -> Multigraph:
     [k] = _check_ints(k=k)
     if k < 2:
         raise ValueError(f"cycle needs at least 2 edges, got k={k}")
-    return Multigraph(k, tuple(Edge(i, (i + 1) % k) for i in range(k)))
+    return Multigraph(k, tuple((i, (i + 1) % k) for i in range(k)))
 
 
 def gen_star(k: int) -> Multigraph:
@@ -42,7 +41,7 @@ def gen_star(k: int) -> Multigraph:
     [k] = _check_ints(k=k)
     if k < 1:
         raise ValueError(f"star needs at least 1 leaf, got k={k}")
-    return Multigraph(k + 1, tuple(Edge(0, i) for i in range(1, k + 1)))
+    return Multigraph(k + 1, tuple((0, i) for i in range(1, k + 1)))
 
 
 def gen_random_multigraph(n: int, m: int, seed: int) -> Multigraph:
@@ -65,5 +64,5 @@ def gen_random_multigraph(n: int, m: int, seed: int) -> Multigraph:
         t = rng.randrange(n - 1)
         if t >= s:
             t += 1
-        edges.append(Edge(s, t))
+        edges.append((s, t))
     return Multigraph(n, tuple(edges))

@@ -1,7 +1,8 @@
 """Directed multigraph core: edge lists, edge subsets, parsing and the imbalance primitive.
 
-Vertices are dense integer indices ``0..n-1``. An edge is identified by its
-position in the edge list, never by its endpoint pair, so parallel edges stay
+Vertices are dense integer indices ``0..n-1``. An edge is a plain
+``(source, target)`` tuple of two ``int``s, and is identified by its position
+in the edge list, never by its endpoint pair, so parallel edges stay
 distinguishable and an edge subset is an iterable of positions, which
 ``_edge_indices`` checks and sorts. Self-loops are forbidden. All types here
 are immutable and all operations are pure, so values can be shared freely
@@ -18,7 +19,6 @@ also uses ``_edge_indices`` and ``_imbalances``, and ``eis`` uses
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
@@ -74,9 +74,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-Edge = namedtuple("Edge", "source target")
-
-
 class GraphFormatError(ValueError):
     """An edge-list document that does not follow the text format."""
 
@@ -85,7 +82,7 @@ class Multigraph(Record):
     """Immutable directed multigraph with positional edge identity."""
 
     vertex_count: int
-    edges: tuple[Edge, ...]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         [n] = _check_ints(vertex_count=self.vertex_count)
@@ -93,18 +90,22 @@ class Multigraph(Record):
             raise ValueError("vertex_count must be nonnegative")
         object.__setattr__(self, "vertex_count", n)
         edges = self.edges
-        if type(edges) is not tuple or set(map(type, edges)) - {Edge}:
-            edges = tuple(Edge(*e) for e in edges)
+        if type(edges) is not tuple or set(map(type, edges)) - {tuple}:
+            edges = tuple(map(tuple, edges))
             object.__setattr__(self, "edges", edges)
-        # Endpoints of other types, bool and float among them, go through the full check below.
-        if set(map(type, chain.from_iterable(edges))) <= {int} and all(
+        # Endpoints of other types, bool, float and numpy's among them, go through the full check below.
+        if set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int} and all(
             0 <= s < n and 0 <= t < n and s != t for s, t in edges
         ):
             return
         # Find the first offending edge for the message.
-        for i, (s, t) in enumerate(edges):
-            if fault := _endpoint_fault(s, t, n):
+        for i, e in enumerate(edges):
+            if len(e) != 2:
+                raise ValueError(f"edge {i}: expected a (source, target) pair, got {len(e)} members")
+            if fault := _endpoint_fault(*e, n):
                 raise ValueError(f"edge {i}: {fault}")
+        # Every endpoint is an integer, so store each as an ``int``, like ``vertex_count``.
+        object.__setattr__(self, "edges", tuple(tuple(map(operator.index, e)) for e in edges))
 
     @property
     def m(self) -> int:
@@ -244,7 +245,7 @@ def parse_graph(text: str) -> Multigraph:
         raise
 
 
-def _bulk_edges(body: list[str]) -> tuple[Edge, ...]:
+def _bulk_edges(body: list[str]) -> tuple[tuple[int, int], ...]:
     """The edges of the ``src dst`` lines, by C-level string and int operations.
 
     ``ValueError`` unless every line holds exactly two tokens and every token
@@ -257,8 +258,7 @@ def _bulk_edges(body: list[str]) -> tuple[Edge, ...]:
         raise ValueError("expected 'src dst'")
     try:
         ends = _decimal_ints(" ".join(body).split())
-        # tuple.__new__(Edge, pair) is what Edge(s, t) runs, without the Python-level call.
-        return tuple(map(tuple.__new__, [Edge] * len(body), zip(ends, ends)))
+        return tuple(zip(ends, ends))
     except ValueError:
         raise ValueError("expected two unsigned decimal integers") from None
 
@@ -266,11 +266,11 @@ def _bulk_edges(body: list[str]) -> tuple[Edge, ...]:
 def serialize_graph(g: Multigraph) -> str:
     """Render a graph in the edge-list text format; inverse of :func:`parse_graph`."""
     lines = [f"{g.vertex_count} {g.m}"]
-    lines.extend(f"{e.source} {e.target}" for e in g.edges)
+    lines.extend(f"{s} {t}" for s, t in g.edges)
     return "\n".join(lines) + "\n"
 
 
-def _imbalances(edges: tuple[Edge, ...], idx: Iterable[int]) -> dict[int, int]:
+def _imbalances(edges: tuple[tuple[int, int], ...], idx: Iterable[int]) -> dict[int, int]:
     """Out-minus-in imbalance for every vertex touched by the listed edges."""
     imb: dict[int, int] = {}
     for j in idx:

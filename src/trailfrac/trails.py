@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Iterable
 from enum import Enum
 
-from .graphs import Edge, Multigraph, Record, _edge_indices, _imbalances
+from .graphs import Multigraph, Record, _edge_indices, _imbalances
 
 ORACLE_MAX_EDGES = 8
 
@@ -48,7 +48,7 @@ def _balanced(imbalances: dict[int, int]) -> bool:
     return min(values, default=0) >= -1 and max(values, default=0) <= 1 and values.count(1) <= 1
 
 
-def _connected(edges: tuple[Edge, ...], idx: list[int]) -> bool:
+def _connected(edges: tuple[tuple[int, int], ...], idx: list[int]) -> bool:
     """True iff all listed edges lie in one weak component (nonempty list)."""
     parent: dict[int, int] = {}
 
@@ -72,7 +72,7 @@ def _connected(edges: tuple[Edge, ...], idx: list[int]) -> bool:
     return touched - merges == 1
 
 
-def _hierholzer(edges: tuple[Edge, ...], idx: list[int], imbalances: dict[int, int]) -> tuple[int, ...]:
+def _hierholzer(edges: tuple[tuple[int, int], ...], idx: list[int], imbalances: dict[int, int]) -> tuple[int, ...]:
     """Walk a balanced ascending edge list into a trail, extending by lowest edge index first.
 
     Open trails start at the unique ``+1`` vertex; closed trails start at the
@@ -150,11 +150,12 @@ def oracle_is_trail(g: Multigraph, subset: Iterable[int]) -> bool:
         return False
     edges = g.edges
     for perm in itertools.permutations(indices):
-        end = edges[perm[0]].target
+        end = edges[perm[0]][1]
         for e in perm[1:]:
-            if edges[e].source != end:
+            s, t = edges[e]
+            if s != end:
                 break
-            end = edges[e].target
+            end = t
         else:
             return True
     return False

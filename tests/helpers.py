@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from trailfrac import Multigraph, counting, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
-from trailfrac.graphs import Edge, GraphFormatError
+from trailfrac.graphs import GraphFormatError
 
 
 def perm_oracle(g: Multigraph, indices) -> bool:
@@ -30,7 +30,7 @@ def perm_oracle(g: Multigraph, indices) -> bool:
     for perm in itertools.permutations(idx):
         ok = True
         for a, b in zip(perm, perm[1:]):
-            if g.edges[a].target != g.edges[b].source:
+            if g.edges[a][1] != g.edges[b][0]:
                 ok = False
                 break
         if ok:
@@ -41,7 +41,7 @@ def perm_oracle(g: Multigraph, indices) -> bool:
 def chains(g: Multigraph, order) -> bool:
     """Whether consecutive edges in the ordering satisfy target == next source."""
     order = list(order)
-    return all(g.edges[a].target == g.edges[b].source for a, b in zip(order, order[1:]))
+    return all(g.edges[a][1] == g.edges[b][0] for a, b in zip(order, order[1:]))
 
 
 def brute_force_d(g: Multigraph) -> int:
@@ -92,8 +92,8 @@ def numpy_reference_d(g: Multigraph) -> int:
     m, n = g.m, g.vertex_count
     if m == 0:
         return 0
-    src = np.array([e.source for e in g.edges])
-    dst = np.array([e.target for e in g.edges])
+    src = np.array([e[0] for e in g.edges])
+    dst = np.array([e[1] for e in g.edges])
     incidence = np.zeros((m, n), dtype=np.int8)
     incidence[np.arange(m), src] += 1
     incidence[np.arange(m), dst] -= 1
@@ -209,7 +209,7 @@ def reference_parse_graph(text: str) -> Multigraph:
             raise GraphFormatError(f"edge line {k}: endpoint ({s}, {t}) out of range for n={n}")
         if s == t:
             raise GraphFormatError(f"edge line {k}: self-loop at vertex {s} is forbidden")
-        edges.append(Edge(s, t))
+        edges.append((s, t))
     return Multigraph(n, tuple(edges))
 
 
@@ -229,7 +229,7 @@ def reference_hierholzer(g: Multigraph, indices) -> tuple[int, ...]:
         out.setdefault(s, []).append(j)
         imbalance[s] = imbalance.get(s, 0) + 1
         imbalance[t] = imbalance.get(t, 0) - 1
-    start = next((v for v, x in imbalance.items() if x == 1), g.edges[idx[0]].source)
+    start = next((v for v, x in imbalance.items() if x == 1), g.edges[idx[0]][0])
     ptr = dict.fromkeys(out, 0)
     vertex_stack = [start]
     edge_stack: list[int] = []
@@ -242,7 +242,7 @@ def reference_hierholzer(g: Multigraph, indices) -> tuple[int, ...]:
             ptr[v] = p + 1
             e = lst[p]
             edge_stack.append(e)
-            vertex_stack.append(g.edges[e].target)
+            vertex_stack.append(g.edges[e][1])
         else:
             vertex_stack.pop()
             if edge_stack:

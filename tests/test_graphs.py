@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collections import namedtuple
+
 from trailfrac import (
-    Edge,
     GraphFormatError,
     Multigraph,
+    gen_cycle,
     gen_family,
     gen_path,
+    gen_random_multigraph,
+    gen_star,
     greedy_eis,
     parse_graph,
     serialize_graph,
@@ -27,8 +31,19 @@ def multigraphs(draw, min_n=1, max_n=6, max_m=8):
     for _ in range(m):
         s = draw(st.integers(0, n - 1))
         t = draw(st.integers(0, n - 2))
-        edges.append(Edge(s, t + 1 if t >= s else t))
+        edges.append((s, t + 1 if t >= s else t))
     return Multigraph(n, tuple(edges))
+
+
+# A tuple subclass, which Multigraph stores as a plain tuple.
+Pair = namedtuple("Pair", "source target")
+
+
+def _int_pairs(g: Multigraph) -> bool:
+    """Whether ``g.edges`` is a tuple of plain ``(source, target)`` tuples of ``int``."""
+    return type(g.edges) is tuple and all(
+        type(e) is tuple and len(e) == 2 and set(map(type, e)) == {int} for e in g.edges
+    )
 
 
 @st.composite
@@ -57,7 +72,7 @@ class TestParse:
 
     def test_edge_order_is_index_order(self):
         g = parse_graph("3 3\n1 2\n0 1\n0 2")
-        assert g.edges == (Edge(1, 2), Edge(0, 1), Edge(0, 2))
+        assert g.edges == ((1, 2), (0, 1), (0, 2))
 
     @pytest.mark.parametrize(
         "text",
@@ -254,12 +269,14 @@ class TestMultigraphInvariants:
     @pytest.mark.parametrize(
         "edges,message",
         [
-            ((Edge(0, 1), Edge(1, 5), Edge(2, 2)), "edge 1: endpoint (1, 5) out of range for n=3"),
+            (((0, 1), (1, 5), (2, 2)), "edge 1: endpoint (1, 5) out of range for n=3"),
             ([(0, 1), (2, 2), (0, 7)], "edge 1: self-loop at vertex 2 is forbidden"),
             ([[0, 1], [-1, 2]], "edge 1: endpoint (-1, 2) out of range for n=3"),
             ([(0, 1), (0, 1.5)], "edge 1: endpoint 1.5 is not an integer"),
             ([(0, 1.0)], "edge 0: endpoint 1.0 is not an integer"),
             ([(0, True)], "edge 0: endpoint True is not an integer"),
+            ([(0, 1), (1,), (0, 7)], "edge 1: expected a (source, target) pair, got 1 members"),
+            (((0, 1, 2), (0, 1)), "edge 0: expected a (source, target) pair, got 3 members"),
         ],
     )
     def test_names_first_offending_edge(self, edges, message):
@@ -285,12 +302,49 @@ class TestMultigraphInvariants:
         assert greedy_eis(g) == greedy_eis(gen_path(np.int64(2))) == greedy_eis(gen_path(2))
 
     def test_edges_become_an_edge_tuple(self):
-        edges = (Edge(0, 1), Edge(1, 2))
+        edges = ((0, 1), (1, 2))
         assert Multigraph(3, edges).edges is edges
-        for given in ([(0, 1), (1, 2)], ((0, 1), Edge(1, 2)), [[0, 1], [1, 2]]):
+        for given in ([(0, 1), (1, 2)], ((0, 1), Pair(1, 2)), [[0, 1], [1, 2]], np.array(edges)):
             g = Multigraph(3, given)
-            assert g.edges == edges
-            assert type(g.edges) is tuple and all(type(e) is Edge for e in g.edges)
+            assert g.edges == edges and _int_pairs(g)
+
+    def test_numpy_endpoints_stored_as_int(self):
+        g = Multigraph(3, np.array([[0, 1], [1, 2]]))
+        assert _int_pairs(g)
+        assert repr(g) == "Multigraph(vertex_count=3, edges=((0, 1), (1, 2)))"
+        assert set(map(type, greedy_eis(g).vertices)) == {int}
+        # the packed heap key of greedy_eis is (degree << 63) | v here, past a C long
+        huge = Multigraph(2**62 + 5, np.array([[0, 1], [1, 2]]))
+        assert greedy_eis(huge) == greedy_eis(gen_path(2))
+
+
+class TestEdgeForm:
+    """Every construction route stores each edge as a plain pair of ``int``s."""
+
+    @given(multigraphs(max_m=12), st.data())
+    def test_multigraph_routes(self, g, data):
+        n, pairs = g.vertex_count, list(g.edges)
+        forms = (tuple, list, lambda e: Pair(*e), lambda e: tuple(map(np.int64, e)), np.array)
+        mixed = [data.draw(st.sampled_from(forms))(e) for e in pairs]
+        routes = [
+            parse_graph(serialize_graph(g)),
+            Multigraph(n, pairs),
+            Multigraph(n, list(map(list, pairs))),
+            Multigraph(n, mixed),
+            Multigraph(np.int64(n), np.array(pairs, dtype=np.int64).reshape(-1, 2)),
+        ]
+        for h in routes:
+            assert h == g and _int_pairs(h)
+            assert parse_graph(serialize_graph(h)) == h
+
+    @given(st.integers(1, 30), st.integers(2, 8), st.integers(0, 2**64 - 1))
+    def test_generators(self, k, n, seed):
+        for g in (
+            gen_family(2 * k), gen_path(k), gen_cycle(k + 1), gen_star(k),
+            gen_random_multigraph(n, k, seed), gen_random_multigraph(np.int64(n), np.int64(k), seed),
+        ):
+            assert _int_pairs(g)
+            assert parse_graph(serialize_graph(g)) == g
 
 
 class TestEdgeIndices:
