@@ -4,13 +4,13 @@ Vertices are dense integer indices ``0..n-1``. An edge is a plain
 ``(source, target)`` tuple of two ``int``s, and is identified by its position
 in the edge list, never by its endpoint pair, so parallel edges stay
 distinguishable and an edge subset is an iterable of positions, which
-``_edge_indices`` checks and sorts. Self-loops are forbidden. All types here
-are immutable and all operations are pure, so values can be shared freely
-across workers.
+``_edge_indices`` checks and sorts. Self-loops are forbidden; ``_edge_fault``
+is the one statement of this edge rule. All types here are immutable and all
+operations are pure, so values can be shared freely across workers.
 
-``parse_graph`` checks the edge lines in bulk, and reruns the same token and
-endpoint rules (``_decimal_ints``, ``_endpoint_fault``) line by line only to
-name the first bad line; ``_edge_indices`` does the same for edge indices.
+Where a bulk check fails, ``Multigraph`` rebuilds its edges by
+``_edge_fault``, and ``parse_graph`` reruns it and ``_decimal_ints`` line by
+line, to name the first bad one; ``_edge_indices`` does the same for indices.
 ``trails`` and ``counting`` read ``Multigraph.edges`` as given; ``trails``
 also uses ``_edge_indices`` and ``_imbalances``, and ``eis`` uses
 ``_check_vertices``. Every value type derives from ``Record``.
@@ -31,10 +31,11 @@ class Record:
     created, one ``__init__(self, <field>, ..., <field>=<default>, ...)`` is
     compiled for it, about 0.09 ms per class, so the interpreter binds the
     arguments and raises its usual ``TypeError``; the body stores the fields
-    in ``__dict__``, in field order, and runs ``__post_init__``. Instances
-    equal only instances of the same type with equal fields, hash and repr by
-    their fields, refuse assignment and deletion, and pickle and copy through
-    their ``__dict__``, which holds exactly the fields in field order.
+    in ``__dict__``, in field order. A subclass may define its own
+    ``__init__`` instead. Instances equal only instances of the same type
+    with equal fields, hash and repr by their fields, refuse assignment and
+    deletion, and pickle and copy through their ``__dict__``, which holds
+    exactly the fields in field order.
 
     ``dataclasses`` is not used because importing it loads ``inspect``,
     ``ast`` and ``dis``, and each decorated class compiles its methods at
@@ -43,17 +44,16 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
+        if "__init__" in cls.__dict__:
+            return
         fields = cls.__dict__.get("__annotations__", {})
         # The defaults are the globals of the compiled code, so ``name=name`` binds each to its value.
         namespace = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
         params = ", ".join(f"{name}={name}" if name in namespace else name for name in fields)
         values = ", ".join(f"{name!r}: {name}" for name in fields)
-        exec(f"def __init__(self, {params}):\n self.__dict__.update({{{values}}})\n self.__post_init__()", namespace)
+        exec(f"def __init__(self, {params}):\n self.__dict__.update({{{values}}})", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-
-    def __post_init__(self) -> None:
-        """Validate or normalize the fields; the default accepts them as given."""
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -84,28 +84,21 @@ class Multigraph(Record):
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        [n] = _check_ints(vertex_count=self.vertex_count)
+    def __init__(self, vertex_count, edges):
+        [n] = _check_ints(vertex_count=vertex_count)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        object.__setattr__(self, "vertex_count", n)
-        edges = self.edges
-        if type(edges) is not tuple or set(map(type, edges)) - {tuple}:
-            edges = tuple(map(tuple, edges))
-            object.__setattr__(self, "edges", edges)
-        # Endpoints of other types, bool, float and numpy's among them, go through the full check below.
-        if set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int} and all(
-            0 <= s < n and 0 <= t < n and s != t for s, t in edges
-        ):
-            return
-        # Find the first offending edge for the message.
-        for i, e in enumerate(edges):
-            if len(e) != 2:
-                raise ValueError(f"edge {i}: expected a (source, target) pair, got {len(e)} members")
-            if fault := _endpoint_fault(*e, n):
-                raise ValueError(f"edge {i}: {fault}")
-        # Every endpoint is an integer, so store each as an ``int``, like ``vertex_count``.
-        object.__setattr__(self, "edges", tuple(tuple(map(operator.index, e)) for e in edges))
+        # A tuple of plain ``int`` pairs is checked in bulk and kept; any other input takes the per-edge pass.
+        if not (type(edges) is tuple and set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
+                and set(map(type, chain.from_iterable(edges))) <= {int}
+                and all(0 <= s < n and 0 <= t < n and s != t for s, t in edges)):
+            pairs = []
+            for i, e in enumerate(edges):
+                if fault := _edge_fault(e, n):
+                    raise ValueError(f"edge {i}: {fault}")
+                pairs.append(tuple(map(operator.index, e)))
+            edges = tuple(pairs)
+        self.__dict__.update(vertex_count=n, edges=edges)
 
     @property
     def m(self) -> int:
@@ -136,8 +129,14 @@ def _check_ints(**values: object) -> list[int]:
     return list(map(operator.index, values.values()))
 
 
-def _endpoint_fault(s: int, t: int, n: int) -> str | None:
-    """Why ``s -> t`` is not an edge of a graph on vertices ``0..n-1``, or None if it is."""
+def _edge_fault(e: object, n: int) -> str | None:
+    """Why ``e`` is not an edge, a (source, target) pair of integers in ``0..n-1`` with no self-loop, or None."""
+    try:
+        if len(e) != 2:
+            return f"expected a (source, target) pair, got {len(e)} members"
+    except TypeError:
+        return f"expected a (source, target) pair, got {e!r}"
+    s, t = e
     for v in (s, t):
         if not _is_int(v):
             return f"endpoint {v!r} is not an integer"
@@ -151,7 +150,7 @@ def _endpoint_fault(s: int, t: int, n: int) -> str | None:
 def _check_vertices(vertices: Iterable[int], n: int) -> None:
     """``ValueError`` unless each of ``vertices`` is an integer vertex of a graph on ``0..n-1``."""
     for v in vertices:
-        if type(v) is not int and not _is_int(v):
+        if not _is_int(v):
             raise ValueError(f"vertex {v!r} is not an integer")
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for n={n}")
@@ -237,10 +236,10 @@ def parse_graph(text: str) -> Multigraph:
     except ValueError:
         for k, ln in enumerate(body):
             try:
-                ((s, t),) = _bulk_edges([ln])
+                (e,) = _bulk_edges([ln])
             except ValueError as exc:
                 raise GraphFormatError(f"edge line {k}: malformed {ln!r}, {exc}") from None
-            if fault := _endpoint_fault(s, t, n):
+            if fault := _edge_fault(e, n):
                 raise GraphFormatError(f"edge line {k}: {fault}") from None
         raise
 

@@ -284,6 +284,13 @@ class TestMultigraphInvariants:
             Multigraph(3, edges)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("member", [5, None, object()], ids=["int", "None", "object"])
+    @pytest.mark.parametrize("container", [list, tuple, lambda es: (e for e in es)], ids=["list", "tuple", "generator"])
+    def test_non_pair_edge_named(self, member, container):
+        with pytest.raises(ValueError) as info:
+            Multigraph(3, container([(0, 1), member, (0, 7)]))
+        assert str(info.value) == f"edge 1: expected a (source, target) pair, got {member!r}"
+
     @pytest.mark.parametrize("n", [2.0, True])
     def test_rejects_non_integer_vertex_count(self, n):
         with pytest.raises(ValueError) as info:
@@ -336,6 +343,22 @@ class TestEdgeForm:
         for h in routes:
             assert h == g and _int_pairs(h)
             assert parse_graph(serialize_graph(h)) == h
+
+    @given(st.integers(0, 5), st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)), max_size=8))
+    def test_bulk_and_per_edge_checks_agree(self, n, pairs):
+        """A tuple of int pairs, lists, a generator and numpy rows of the same edges build equal graphs or fail alike."""
+        forms = (
+            tuple(pairs), list(map(list, pairs)), (p for p in pairs), np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        )
+        outcomes = []
+        for edges in forms:
+            try:
+                outcomes.append(Multigraph(n, edges))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert all(x == outcomes[0] for x in outcomes)
+        if isinstance(outcomes[0], Multigraph):
+            assert all(map(_int_pairs, outcomes))
 
     @given(st.integers(1, 30), st.integers(2, 8), st.integers(0, 2**64 - 1))
     def test_generators(self, k, n, seed):

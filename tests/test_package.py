@@ -118,6 +118,16 @@ GOLDEN_REPRS = [
 ]
 
 
+class Halved(Record):
+    """A value type with its own ``__init__``, which ``Record`` keeps: it stores ``size`` halved."""
+
+    size: int
+    label: str = "x"
+
+    def __init__(self, size, label="x"):
+        self.__dict__.update(size=size // 2, label=label)
+
+
 class TestValueTypes:
     def test_golden_reprs(self):
         assert [repr(x) for x in _instances()] == GOLDEN_REPRS
@@ -198,6 +208,21 @@ class TestValueTypes:
         assert {type(x) for x in _instances()} == set(want)
         for kind, signature in want.items():
             assert str(inspect.signature(kind)) == signature, kind
+
+    def test_subclass_keeps_its_own_init(self):
+        x = Halved(7, label="a")
+        assert vars(x) == {"size": 3, "label": "a"} and repr(x) == "Halved(size=3, label='a')"
+        assert str(inspect.signature(Halved)) == "(size, label='x')"
+        assert x == Halved(6, "a") and hash(x) == hash(Halved(6, "a")) and x != Halved(8, "a")
+        with pytest.raises(AttributeError):
+            x.size = 1
+        with pytest.raises(AttributeError):
+            del x.label
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            y = pickle.loads(pickle.dumps(x, protocol))
+            assert type(y) is Halved and vars(y) == vars(x)
+        for y in (copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is Halved and y == x and hash(y) == hash(x)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 15, 16, 1024, 1025, 15_999, 16_000])
     def test_fractions_are_built_from_m_and_d(self, m):
