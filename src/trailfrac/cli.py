@@ -10,7 +10,8 @@ part of the package: ``count`` loads ``graphs`` and ``counting``, never
 library returns values; ``cli`` alone shapes every payload from them, writes
 each exact fraction as ``f"{d}/{1 << m}"`` and times ``count``. d passes the
 interpreter's int/str digit limit from m = 14 280, so ``main`` lifts it once
-the arguments are parsed; ``graphs._decimal_ints`` caps input numerals itself.
+the arguments are parsed, for every command and format, ``scan``'s CSV
+included; ``graphs._decimal_ints`` caps input numerals itself.
 
 ``entrypoint``, which the ``trailfrac`` script and ``python -m trailfrac.cli``
 run, turns the cyclic garbage collector off for the process and freezes

@@ -88,8 +88,9 @@ class Multigraph(Record):
         [n] = _check_ints(vertex_count=vertex_count)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        # A tuple of plain ``int`` pairs is checked in bulk and kept; any other input takes the per-edge pass.
-        if not (type(edges) is tuple and set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
+        # Edges are read once: valid plain ``int`` pairs pass the bulk check and are kept; others take the per-edge pass.
+        edges = tuple(edges)
+        if not (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
                 and set(map(type, chain.from_iterable(edges))) <= {int}
                 and all(0 <= s < n and 0 <= t < n and s != t for s, t in edges)):
             pairs = []

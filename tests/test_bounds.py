@@ -21,9 +21,14 @@ from trailfrac import (
 from trailfrac import bounds
 from trailfrac.bounds import _central_binomials, _central_bound_holds
 
+from helpers import int_digit_limit
+
 # sha256 of family_ratio_csv(family_ratio_scan(4, 2000)), recorded while every
 # d came from a fresh math.comb (count_family_closed_form).
 GOLDEN_SCAN_CSV_SHA256 = "34465c04243db125ef39b8c286085605e2867cc28350c285b0a1b528a3f6ebd7"
+# sha256 of family_ratio_csv(family_ratio_scan(14400, 14404)), the bytes of
+# `trailfrac scan --m-min 14400 --m-max 14404`; each d has over 4 300 digits.
+GOLDEN_SCAN_PAST_LIMIT_CSV_SHA256 = "6b623fa30881c547d435d6a585de0896e7a7e6db685b52c296073af3ff25dee3"
 
 
 class TestTheoremUpperBound:
@@ -258,6 +263,15 @@ class TestFamilyRatioScan:
     def test_golden_csv(self):
         text = family_ratio_csv(family_ratio_scan(4, 2000))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SCAN_CSV_SHA256
+
+    def test_golden_csv_past_int_digit_limit(self):
+        rows = family_ratio_scan(14400, 14404)
+        # Past the int-to-str digit limit the caller lifts it, as cli.main does.
+        with int_digit_limit(4300), pytest.raises(ValueError, match="4300 digits"):
+            family_ratio_csv(rows)
+        with int_digit_limit(0):
+            text = family_ratio_csv(rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SCAN_PAST_LIMIT_CSV_SHA256
 
     def test_rows_match_closed_form_up_to_3000(self):
         rows = family_ratio_scan(4, 3000)

@@ -33,6 +33,15 @@ from helpers import int_digit_limit, two_disjoint_two_cycles
 # sha256 of the output of `trailfrac bounds --m 1024` (JSON).
 GOLDEN_BOUNDS_M1024_SHA256 = "d2bab7b24c5b889ff0f97071e86024abcf077d2283ee319a64c1a2f8651dc54c"
 
+# sha256 of the stdout of `trailfrac scan --m-min 14400 --m-max 14404` in each
+# format, recorded while the CSV wrote d through ``Decimal``; every d there
+# has 4 334 or 4 335 digits, past the default int-to-str limit of 4 300.
+GOLDEN_SCAN_PAST_LIMIT_SHA256 = {
+    "csv": "6b623fa30881c547d435d6a585de0896e7a7e6db685b52c296073af3ff25dee3",
+    "json": "cc14700d882e7157d1f9bb91c6cd59d5e1a0f63d4da33c34453c382dd9833255",
+    "text": "e06614fc45c5ab7165c5d6e870b3f613b5e944554574743c4bb24b09323b8072",
+}
+
 
 @pytest.fixture()
 def family4_file(tmp_path):
@@ -328,6 +337,13 @@ class TestScan:
         else:
             ds = [int(Decimal(line.split(",")[1])) for line in out.splitlines()[1:]]
         assert ds == [count_family_closed_form(m).total for m in (15000, 15002, 15004)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_golden_past_int_digit_limit(self, capsys, fmt):
+        argv = ["scan", "--m-min", "14400", "--m-max", "14404", "--format", fmt]
+        code, out, err = run_at_default_digit_limit(capsys, argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SCAN_PAST_LIMIT_SHA256[fmt]
 
 
 class TestBounds:
@@ -732,9 +748,9 @@ class TestImports:
         ("typing", {"count", "check", "eis", "bounds"}),
         # pathlib loads urllib.parse and ipaddress.
         ("pathlib", {"count", "check", "eis", "bounds", "scan", "gen"}),
-        # The exact fractions are written from m and d; only scan's CSV loads decimal.
-        ("fractions", {"count", "check", "eis", "bounds", "gen"}),
-        ("decimal", {"count", "check", "eis", "bounds", "gen"}),
+        # The exact fractions are written from m and d, and every d with str.
+        ("fractions", {"count", "check", "eis", "bounds", "scan", "gen"}),
+        ("decimal", {"count", "check", "eis", "bounds", "scan", "gen"}),
     ]
 
     def test_commands_load_no_unused_module(self, tmp_path, family4_file):

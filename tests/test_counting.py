@@ -12,7 +12,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trailfrac
 from trailfrac import (
@@ -142,6 +142,8 @@ class TestExactCount:
 
     @settings(max_examples=200, deadline=None)
     @given(multigraphs_with_parallels())
+    # Reaches the empty shift range (``lo > hi``) in ``counting._take_class``; d = 42.
+    @example(Multigraph(5, ((1, 3), (4, 2), (3, 2), (3, 2), (4, 1), (4, 1), (3, 2), (1, 3), (1, 3))))
     def test_matches_numpy_reference(self, g):
         assert count_trails_exact(g).d == numpy_reference_d(g)
 
