@@ -7,10 +7,13 @@ status 1 and a diagnostic on stderr; usage errors exit with status 2.
 Each handler imports the modules it calls, so a command loads only its own
 part of the package: ``count`` loads ``graphs`` and ``counting``, never
 ``trails``, ``eis``, ``bounds``, numpy, ``fractions`` or ``decimal``. The
-library returns values; ``cli`` alone shapes every payload from them, writes
-each exact fraction as ``f"{d}/{1 << m}"`` and times ``count``. d passes the
-interpreter's int/str digit limit from m = 14 280, so ``main`` lifts it once
-the arguments are parsed, for every command and format, ``scan``'s CSV
+library returns values, and ``cli`` alone writes them and times ``count``.
+Each handler writes its text report straight from the library's value; only
+JSON and CSV go through one payload dict. Each exact fraction is written as
+``f"{d}/{1 << m}"``, and only by a format that prints it: text leaves out
+``scan``'s ``f_exact`` and, past m = 64, ``bounds``'s ``family_f``. d passes
+the interpreter's int/str digit limit from m = 14 280, so ``main`` lifts it
+once the arguments are parsed, for every command and format, ``scan``'s CSV
 included; ``graphs._decimal_ints`` caps input numerals itself.
 
 ``entrypoint``, which the ``trailfrac`` script and ``python -m trailfrac.cli``
@@ -94,12 +97,8 @@ def _json(value, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
-def _render(payload, fmt: str, text_fn) -> str:
-    if fmt == "json":
-        return _json(payload) + "\n"
-    if fmt == "csv":
-        return _csv_of(payload)
-    return text_fn(payload)
+def _render(payload, fmt: str) -> str:
+    return _json(payload) + "\n" if fmt == "json" else _csv_of(payload)
 
 
 def _cmd_check(args) -> str:
@@ -108,29 +107,23 @@ def _cmd_check(args) -> str:
     g = _load_graph(args.graph)
     subset = _parse_subset_arg(args.subset)
     verdict = is_trail(g, subset)
-    payload = {
-        "m": g.m,
-        "subset": sorted(subset),
-        "is_trail": verdict.is_trail,
-        "failure_reason": verdict.failure_reason.value if verdict.failure_reason else None,
-    }
+    reason = verdict.failure_reason.value if verdict.failure_reason else None
+    oracle = oracle_is_trail(g, subset) if args.oracle else None
+    if args.format == "text":
+        lines = ["trail" if verdict.is_trail else f"not a trail: {reason}"]
+        if args.witness and verdict.witness:
+            lines.append("witness: " + " ".join(map(str, verdict.witness)))
+        if args.oracle:
+            word = "trail" if oracle else "not a trail"
+            lines.append(f"oracle: {word} ({'agrees' if oracle == verdict.is_trail else 'MISMATCH'})")
+        return "\n".join(lines) + "\n"
+    payload = {"m": g.m, "subset": sorted(subset), "is_trail": verdict.is_trail, "failure_reason": reason}
     if args.witness:
         payload["witness"] = list(verdict.witness) if verdict.witness else None
     if args.oracle:
-        oracle = oracle_is_trail(g, subset)
         payload["oracle_is_trail"] = oracle
         payload["oracle_agrees"] = oracle == verdict.is_trail
-
-    def text(p) -> str:
-        lines = ["trail" if p["is_trail"] else f"not a trail: {p['failure_reason']}"]
-        if args.witness and p.get("witness"):
-            lines.append("witness: " + " ".join(str(e) for e in p["witness"]))
-        if args.oracle:
-            word = "trail" if p["oracle_is_trail"] else "not a trail"
-            lines.append(f"oracle: {word} ({'agrees' if p['oracle_agrees'] else 'MISMATCH'})")
-        return "\n".join(lines) + "\n"
-
-    return _render(payload, args.format, text)
+    return _render(payload, args.format)
 
 
 def _cmd_count(args) -> str:
@@ -141,17 +134,10 @@ def _cmd_count(args) -> str:
     report = count_trails_exact(g)
     elapsed = time.perf_counter() - start
     m, d = report.m, report.d
+    if args.format == "text":
+        return f"m: {m}\nd: {d}\nf: {d}/{1 << m} = {d / (1 << m)}\nelapsed: {elapsed:.3f}s\n"
     payload = {"m": m, "d": d, "f": f"{d}/{1 << m}", "f_decimal": d / (1 << m), "elapsed": elapsed}
-
-    def text(p) -> str:
-        return (
-            f"m: {p['m']}\n"
-            f"d: {p['d']}\n"
-            f"f: {p['f']} = {p['f_decimal']}\n"
-            f"elapsed: {p['elapsed']:.3f}s\n"
-        )
-
-    return _render(payload, args.format, text)
+    return _render(payload, args.format)
 
 
 def _cmd_estimate(args) -> str:
@@ -159,17 +145,14 @@ def _cmd_estimate(args) -> str:
 
     g = _load_graph(args.graph)
     report = estimate_trail_fraction(g, args.samples, args.seed, args.confidence)
-    payload = dict(vars(report))
-
-    def text(p) -> str:
+    if args.format == "text":
         return (
-            f"estimate: {p['estimate']}\n"
-            f"{int(round(p['confidence'] * 100))}% CI: [{p['ci_low']}, {p['ci_high']}]\n"
-            f"samples: {p['samples']}\n"
-            f"seed: {p['seed']}\n"
+            f"estimate: {report.estimate}\n"
+            f"{int(round(report.confidence * 100))}% CI: [{report.ci_low}, {report.ci_high}]\n"
+            f"samples: {report.samples}\n"
+            f"seed: {report.seed}\n"
         )
-
-    return _render(payload, args.format, text)
+    return _render(dict(vars(report)), args.format)
 
 
 def _cmd_eis(args) -> str:
@@ -179,23 +162,22 @@ def _cmd_eis(args) -> str:
     seq = greedy_eis(g)
     # Each touched vertex is eliminated exactly once.
     non_isolated = sum(seq.eliminated_per_step)
+    bound_ok = 2 * seq.length >= non_isolated
+    if args.format == "text":
+        return (
+            "vertices: " + " ".join(map(str, seq.vertices)) + "\n"
+            "fresh edges: " + " ".join(map(str, seq.fresh_edges)) + "\n"
+            f"length: {seq.length} (non-isolated vertices: {non_isolated}, "
+            f"bound {'ok' if bound_ok else 'VIOLATED'})\n"
+        )
     payload = {
         "vertices": list(seq.vertices),
         "fresh_edges": list(seq.fresh_edges),
         "length": seq.length,
         "non_isolated_vertices": non_isolated,
-        "length_bound_ok": 2 * seq.length >= non_isolated,
+        "length_bound_ok": bound_ok,
     }
-
-    def text(p) -> str:
-        return (
-            "vertices: " + " ".join(str(v) for v in p["vertices"]) + "\n"
-            "fresh edges: " + " ".join(str(e) for e in p["fresh_edges"]) + "\n"
-            f"length: {p['length']} (non-isolated vertices: {p['non_isolated_vertices']}, "
-            f"bound {'ok' if p['length_bound_ok'] else 'VIOLATED'})\n"
-        )
-
-    return _render(payload, args.format, text)
+    return _render(payload, args.format)
 
 
 def _cmd_gen(args) -> str:
@@ -213,6 +195,11 @@ def _cmd_scan(args) -> str:
     rows = family_ratio_scan(args.m_min, args.m_max)
     if args.format == "csv":
         return family_ratio_csv(rows)
+    if args.format == "text":
+        lines = [f"{'m':>5} {'d':>24} {'f':>14} {'f*sqrt(m)':>12} {'bound':>10}"]
+        for r in rows:
+            lines.append(f"{r.m:>5} {r.d:>24} {r.f:>14.10f} {r.f_sqrt_m:>12.6f} {r.theorem_bound:>10.6f}")
+        return "\n".join(lines) + "\n"
     payload = [
         {
             "m": r.m,
@@ -224,17 +211,7 @@ def _cmd_scan(args) -> str:
         }
         for r in rows
     ]
-
-    def text(p) -> str:
-        lines = [f"{'m':>5} {'d':>24} {'f':>14} {'f*sqrt(m)':>12} {'bound':>10}"]
-        for row in p:
-            lines.append(
-                f"{row['m']:>5} {row['d']:>24} {row['f']:>14.10f} "
-                f"{row['f_sqrt_m']:>12.6f} {row['theorem_bound']:>10.6f}"
-            )
-        return "\n".join(lines) + "\n"
-
-    return _render(payload, args.format, text)
+    return _render(payload, args.format)
 
 
 def _cmd_bounds(args) -> str:
@@ -243,6 +220,19 @@ def _cmd_bounds(args) -> str:
     report = bound_report(args.m)
     checks = proof_ingredient_summary()
     m, d = report.m, report.family_d
+    if args.format == "text":
+        lines = [
+            f"m: {m}",
+            f"sqrt(log2(m)/m): {report.theorem_value:.6f}",
+            f"proof parameters: k = {report.k:.4f}, r = {report.r:.4f}",
+        ]
+        if d is not None:
+            exact = f" (exact {d}/{1 << m})" if m <= 64 else ""
+            lines.append(f"family f: {d / (1 << m):.10g}{exact}")
+            lines.append(f"family f * sqrt(m): {report.ratio:.6f}")
+        for name, ok in checks.items():
+            lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
+        return "\n".join(lines) + "\n"
     payload = {
         "m": m,
         "theorem_value": report.theorem_value,
@@ -253,22 +243,7 @@ def _cmd_bounds(args) -> str:
         "ratio": report.ratio,
     }
     payload.update({f"check_{name}": ok for name, ok in checks.items()})
-
-    def text(p) -> str:
-        lines = [
-            f"m: {p['m']}",
-            f"sqrt(log2(m)/m): {p['theorem_value']:.6f}",
-            f"proof parameters: k = {p['k']:.4f}, r = {p['r']:.4f}",
-        ]
-        if p["family_f"] is not None:
-            exact = f" (exact {p['family_f']})" if p["m"] <= 64 else ""
-            lines.append(f"family f: {p['family_f_decimal']:.10g}{exact}")
-            lines.append(f"family f * sqrt(m): {p['ratio']:.6f}")
-        for name, ok in checks.items():
-            lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
-        return "\n".join(lines) + "\n"
-
-    return _render(payload, args.format, text)
+    return _render(payload, args.format)
 
 
 _HANDLERS = {
@@ -326,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--m", type=int, required=True)
     gp.add_argument("--seed", type=int, required=True)
     gp.add_argument("--out", default=None)
-    for name, argname in (("path", "--k"), ("cycle", "--k"), ("star", "--k")):
+    for name in ("path", "cycle", "star"):
         gp = gen_sub.add_parser(name)
-        gp.add_argument(argname, type=int, required=True)
+        gp.add_argument("--k", type=int, required=True)
         gp.add_argument("--out", default=None)
 
     p = sub.add_parser("scan", help="family trail fraction scaled by sqrt(m), CSV by default")

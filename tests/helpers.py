@@ -9,7 +9,9 @@ every subset: it shares no code with the frontier count it checks.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -120,6 +122,38 @@ def numpy_reference_d(g: Multigraph) -> int:
     lowest = np.where(touched, labels, n).min(axis=1)
     highest = np.where(touched, labels, -1).max(axis=1)
     return int(np.count_nonzero(lowest == highest))
+
+
+def three_vertex_d(g: Multigraph) -> int:
+    """d(G) of a graph whose edges touch at most three vertices, from binomial sums alone.
+
+    Self-loops are forbidden, so two weak components need four vertices and
+    every balanced nonempty subset here is a trail. Name the touched vertices
+    0, 1, 2. A subset that takes i of the a edges u->v and j of the b edges
+    v->u has net flow k = i - j from u to v, and Vandermonde's identity gives
+    W_uv(k) = C(a + b, b + k) such choices. Vertex 0's imbalance is
+    k01 + k02 and vertex 1's is k12 - k01, so the subsets with imbalances
+    (alpha, beta, -alpha - beta) number sum_k W01(k) W02(alpha - k) W12(beta + k).
+    d sums that over the 7 balanced vectors, |alpha|, |beta|, |alpha + beta| <= 1,
+    and drops the empty subset.
+    """
+    touched = sorted(set(itertools.chain.from_iterable(g.edges)))
+    if len(touched) > 3:
+        raise ValueError(f"edges touch {len(touched)} vertices, at most 3 allowed")
+    # Vertices below 0 stand in for untouched ones: no edge meets them.
+    x0, x1, x2 = (touched + [-1, -2, -3])[:3]
+    count = Counter(g.edges)
+
+    def weights(u: int, v: int) -> dict[int, int]:
+        a, b = count[u, v], count[v, u]
+        return {k: math.comb(a + b, b + k) for k in range(-b, a + 1)}
+
+    w01, w02, w12 = weights(x0, x1), weights(x0, x2), weights(x1, x2)
+    balanced = [(alpha, beta) for alpha in (-1, 0, 1) for beta in (-1, 0, 1) if abs(alpha + beta) <= 1]
+    balanced_subsets = sum(
+        w * w02.get(alpha - k, 0) * w12.get(beta + k, 0) for alpha, beta in balanced for k, w in w01.items()
+    )
+    return balanced_subsets - 1
 
 
 def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

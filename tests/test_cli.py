@@ -414,6 +414,7 @@ GOLDEN_RENDERINGS = [
         ["check", "family4", "--subset", "0,1,2,3", "--witness", "--oracle", "--format", "text"],
         "trail\nwitness: 0 2 1 3\noracle: trail (agrees)\n",
     ),
+    (["check", "family4", "--subset", "0,2", "--format", "text"], "trail\n"),
     (
         ["check", "path3", "--subset", "0,2", "--witness", "--oracle", "--format", "text"],
         "not a trail: disconnected\noracle: not a trail (agrees)\n",
@@ -431,6 +432,21 @@ GOLDEN_RENDERINGS = [
         ["bounds", "--m", "16", "--format", "text"],
         "m: 16\nsqrt(log2(m)/m): 0.500000\nproof parameters: k = 4.0000, r = 4.0000\n"
         "family f: 0.5454864502 (exact 35749/65536)\nfamily f * sqrt(m): 2.181946\n"
+        "check stirling_sandwich: ok\ncheck central_binomial: ok\ncheck balance_window: ok\n"
+        "check case2_tail: ok\ncheck vandermonde: ok\n",
+    ),
+    (
+        # Even m past 64: the family line has no exact fraction.
+        ["bounds", "--m", "1024", "--format", "text"],
+        "m: 1024\nsqrt(log2(m)/m): 0.098821\nproof parameters: k = 102.4000, r = 10.0000\n"
+        "family f: 0.07468623325\nfamily f * sqrt(m): 2.389959\n"
+        "check stirling_sandwich: ok\ncheck central_binomial: ok\ncheck balance_window: ok\n"
+        "check case2_tail: ok\ncheck vandermonde: ok\n",
+    ),
+    (
+        # Odd m: no family lines.
+        ["bounds", "--m", "15", "--format", "text"],
+        "m: 15\nsqrt(log2(m)/m): 0.510352\nproof parameters: k = 3.8394, r = 3.9069\n"
         "check stirling_sandwich: ok\ncheck central_binomial: ok\ncheck balance_window: ok\n"
         "check case2_tail: ok\ncheck vandermonde: ok\n",
     ),
@@ -518,7 +534,7 @@ class TestJsonRendering:
     def render_and_dump(payload) -> tuple[str, str]:
         """``cli._render`` and ``json.dumps(payload, indent=2)``, under the lifted digit limit ``main`` renders in."""
         with int_digit_limit(0):
-            return cli._render(payload, "json", None), json.dumps(payload, indent=2) + "\n"
+            return cli._render(payload, "json"), json.dumps(payload, indent=2) + "\n"
 
     @settings(max_examples=200, deadline=None)
     @given(json_values)

@@ -36,6 +36,7 @@ from helpers import (
     numpy_reference_d,
     pack_columns,
     small_corpus,
+    three_vertex_d,
     two_disjoint_two_cycles,
 )
 
@@ -62,6 +63,17 @@ def multigraphs_with_pair_classes(draw):
     pool = draw(st.lists(pair, min_size=1, max_size=7))
     edge = st.sampled_from(pool).flatmap(lambda p: st.sampled_from([p, p[::-1]]))
     return Multigraph(n, tuple(draw(st.lists(edge, max_size=18))))
+
+
+@st.composite
+def multigraphs_on_three_vertices(draw):
+    """n in 1..6 and m <= 14, every edge between at most three chosen vertices."""
+    n = draw(st.integers(1, 6))
+    chosen = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    if len(chosen) < 2:
+        return Multigraph(n, ())
+    pair = st.tuples(st.sampled_from(chosen), st.sampled_from(chosen)).filter(lambda p: p[0] != p[1])
+    return Multigraph(n, tuple(draw(st.lists(pair, max_size=14))))
 
 
 @st.composite
@@ -152,6 +164,18 @@ class TestExactCount:
     def test_matches_enumeration(self, g):
         assert count_trails_exact(g).d == enumerate_d(g)
 
+    @settings(max_examples=150, deadline=None)
+    @given(multigraphs_on_three_vertices())
+    def test_three_vertex_sum_matches_numpy_reference(self, g):
+        assert three_vertex_d(g) == numpy_reference_d(g)
+
+    # Exact checks far past enumeration on graphs that are neither the family,
+    # a path nor a cycle.
+    @pytest.mark.parametrize("m,seed", [(300, 1), (300, 2), (3000, 1), (3000, 2)])
+    def test_matches_three_vertex_sum(self, m, seed):
+        g = gen_random_multigraph(3, m, seed)
+        assert count_trails_exact(g).d == three_vertex_d(g)
+
     # Recorded with the block enumeration before the frontier count replaced it.
     @pytest.mark.parametrize("n,m,seed,d", [(6, 24, 5, 40694), (9, 26, 11, 26479)])
     def test_golden_counts(self, n, m, seed, d):
@@ -163,7 +187,8 @@ class TestExactCount:
     def test_reversed_long_chains(self, make, d):
         # Trails are the runs of consecutive edges: m(m+1)/2 on the path, m(m-1)
         # on the cycle plus the whole cycle. Listing the edges backwards makes
-        # each label propagation sweep move a label only one edge along the chain.
+        # each reached-edge sweep of ``_trail_kernel``, which ``enumerate_d``
+        # runs, grow the reached edges only one edge along the chain.
         g = make(24)
         assert enumerate_d(Multigraph(g.vertex_count, g.edges[::-1])) == d
 
