@@ -119,7 +119,7 @@ def _cmd_check(args) -> str:
         return "\n".join(lines) + "\n"
     payload = {"m": g.m, "subset": sorted(subset), "is_trail": verdict.is_trail, "failure_reason": reason}
     if args.witness:
-        payload["witness"] = list(verdict.witness) if verdict.witness else None
+        payload["witness"] = verdict.witness
     if args.oracle:
         payload["oracle_is_trail"] = oracle
         payload["oracle_agrees"] = oracle == verdict.is_trail
@@ -171,8 +171,8 @@ def _cmd_eis(args) -> str:
             f"bound {'ok' if bound_ok else 'VIOLATED'})\n"
         )
     payload = {
-        "vertices": list(seq.vertices),
-        "fresh_edges": list(seq.fresh_edges),
+        "vertices": seq.vertices,
+        "fresh_edges": seq.fresh_edges,
         "length": seq.length,
         "non_isolated_vertices": non_isolated,
         "length_bound_ok": bound_ok,
@@ -246,17 +246,6 @@ def _cmd_bounds(args) -> str:
     return _render(payload, args.format)
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "count": _cmd_count,
-    "estimate": _cmd_estimate,
-    "eis": _cmd_eis,
-    "gen": _cmd_gen,
-    "scan": _cmd_scan,
-    "bounds": _cmd_bounds,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trailfrac",
@@ -265,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p, default_format: str = "json") -> None:
+    def add_output(p, run, default_format: str = "json") -> None:
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("json", "csv", "text"), default=default_format)
         p.add_argument("--out", metavar="PATH", default=None, help="write output to PATH instead of stdout")
 
@@ -274,24 +264,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, help="comma-separated edge indices (empty string for the empty subset)")
     p.add_argument("--witness", action="store_true", help="include a witness ordering when the subset is a trail")
     p.add_argument("--oracle", action="store_true", help="cross-run the permutation oracle (|T| <= 8)")
-    add_output(p)
+    add_output(p, _cmd_check)
 
     p = sub.add_parser("count", help="exact d(G) and f(G) by a frontier count (fails past a budget of live states)")
     p.add_argument("graph")
-    add_output(p)
+    add_output(p, _cmd_count)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of f(G)")
     p.add_argument("graph")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--confidence", type=float, default=0.95)
-    add_output(p)
+    add_output(p, _cmd_estimate)
 
     p = sub.add_parser("eis", help="greedy edge-increasing vertex sequence")
     p.add_argument("graph")
-    add_output(p)
+    add_output(p, _cmd_eis)
 
     p = sub.add_parser("gen", help="generate a graph in edge-list format")
+    p.set_defaults(run=_cmd_gen)
     gen_sub = p.add_subparsers(dest="shape", required=True)
     gp = gen_sub.add_parser("family", help="two vertices, m/2 parallel edges each way")
     gp.add_argument("--m", type=int, required=True)
@@ -309,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="family trail fraction scaled by sqrt(m), CSV by default")
     p.add_argument("--m-min", dest="m_min", type=int, required=True)
     p.add_argument("--m-max", dest="m_max", type=int, required=True)
-    add_output(p, default_format="csv")
+    add_output(p, _cmd_scan, default_format="csv")
 
     p = sub.add_parser("bounds", help="headline rate at m plus the inequality check battery")
     p.add_argument("--m", type=int, required=True)
-    add_output(p)
+    add_output(p, _cmd_bounds)
 
     return parser
 
@@ -324,7 +315,7 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        output = _HANDLERS[args.command](args)
+        output = args.run(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.write(output)

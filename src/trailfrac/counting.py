@@ -38,8 +38,8 @@ from itertools import chain
 from .graphs import Multigraph, Record, _check_ints
 
 # Live frontier states allowed after any step of the exact count. The densest
-# graph tried, gen_random_multigraph(8, 80, 1), peaks at 1.3e5 states and
-# takes 6.5-8.5 s and 77 MB max RSS as `trailfrac count`;
+# graph tried, gen_random_multigraph(5, 400, 1), peaks at 196 753 states, 98%
+# of the budget, and takes 10.5-11.6 s and 102 MB max RSS as `trailfrac count`;
 # gen_random_multigraph(16, 40, 1) peaks at 1.1e3 states in 0.06 s (2-vCPU
 # Xeon VM, Python 3.11).
 EXACT_MAX_STATES = 200_000

@@ -58,18 +58,16 @@ def _connected(edges: tuple[tuple[int, int], ...], idx: list[int]) -> bool:
             x = parent[x]
         return x
 
-    touched = merges = 0
+    merges = 0
     for j in idx:
         s, t = edges[j]
-        for v in (s, t):
-            if v not in parent:
-                parent[v] = v
-                touched += 1
+        parent.setdefault(s, s)
+        parent.setdefault(t, t)
         ra, rb = find(s), find(t)
         if ra != rb:
             parent[ra] = rb
             merges += 1
-    return touched - merges == 1
+    return len(parent) - merges == 1
 
 
 def _hierholzer(edges: tuple[tuple[int, int], ...], idx: list[int], imbalances: dict[int, int]) -> tuple[int, ...]:

@@ -3,7 +3,9 @@
 The oracles here are deliberately self-contained (no imports from the
 library's decision logic) so tests compare two independent routes. The
 exception is ``enumerate_d``, which drives the estimator's numpy kernel over
-every subset: it shares no code with the frontier count it checks.
+every subset: it shares no code with the frontier count it checks. Past the
+reach of enumeration, ``few_vertex_d`` counts d exactly from binomial sums
+for any graph whose edges touch at most four vertices.
 """
 
 from __future__ import annotations
@@ -124,36 +126,60 @@ def numpy_reference_d(g: Multigraph) -> int:
     return int(np.count_nonzero(lowest == highest))
 
 
-def three_vertex_d(g: Multigraph) -> int:
-    """d(G) of a graph whose edges touch at most three vertices, from binomial sums alone.
+def few_vertex_d(g: Multigraph) -> int:
+    """d(G) of a graph whose edges touch at most four vertices, from binomial sums alone.
 
-    Self-loops are forbidden, so two weak components need four vertices and
-    every balanced nonempty subset here is a trail. Name the touched vertices
-    0, 1, 2. A subset that takes i of the a edges u->v and j of the b edges
-    v->u has net flow k = i - j from u to v, and Vandermonde's identity gives
-    W_uv(k) = C(a + b, b + k) such choices. Vertex 0's imbalance is
-    k01 + k02 and vertex 1's is k12 - k01, so the subsets with imbalances
-    (alpha, beta, -alpha - beta) number sum_k W01(k) W02(alpha - k) W12(beta + k).
-    d sums that over the 7 balanced vectors, |alpha|, |beta|, |alpha + beta| <= 1,
-    and drops the empty subset.
+    Name the touched vertices 0 to 3. A subset that takes i of the a edges
+    u->v and j of the b edges v->u has net flow k = i - j from u to v, and
+    Vandermonde's identity gives W_uv(k) = C(a + b, b + k) such choices; a
+    name no edge touches gets empty classes, W = {0: 1}. The subsets with
+    imbalances (alpha0, ..., alpha3) number the sum of prod W_uv(k_uv) over
+    the nets with those imbalances. With k12, k13 and k23 free, the nets at
+    vertex 0 follow: k01 = k12 + k13 - alpha1, k02 = k23 - k12 - alpha2 and
+    k03 = -k13 - k23 - alpha3. So for a fixed k12 the sum over (k13, k23) is
+    the convolution of f(k13) = W13(k13) W01(k01) with h(k23) = W23(k23) W02(k02)
+    at s = k13 + k23, read against W03(-s - alpha3). B sums that over the 13
+    balanced vectors, zero and +1/-1 on each ordered pair, and counts the
+    empty subset.
+
+    Self-loops are forbidden, so a balanced nonempty subset that is not
+    connected splits into two components of two vertices each, on a perfect
+    matching {P, Q}. With nets kP and kQ it is balanced iff (kP, kQ) is
+    (0, 0), (+-1, 0) or (0, +-1), and both parts must be nonempty. D counts
+    those subsets and d = B - 1 - D. With three or fewer touched vertices, D
+    is 0 and the sum has one free net.
     """
     touched = sorted(set(itertools.chain.from_iterable(g.edges)))
-    if len(touched) > 3:
-        raise ValueError(f"edges touch {len(touched)} vertices, at most 3 allowed")
+    if len(touched) > 4:
+        raise ValueError(f"edges touch {len(touched)} vertices, at most 4 allowed")
     # Vertices below 0 stand in for untouched ones: no edge meets them.
-    x0, x1, x2 = (touched + [-1, -2, -3])[:3]
+    vertex = (touched + [-1, -2, -3, -4])[:4]
     count = Counter(g.edges)
 
     def weights(u: int, v: int) -> dict[int, int]:
-        a, b = count[u, v], count[v, u]
+        a, b = count[vertex[u], vertex[v]], count[vertex[v], vertex[u]]
         return {k: math.comb(a + b, b + k) for k in range(-b, a + 1)}
 
-    w01, w02, w12 = weights(x0, x1), weights(x0, x2), weights(x1, x2)
-    balanced = [(alpha, beta) for alpha in (-1, 0, 1) for beta in (-1, 0, 1) if abs(alpha + beta) <= 1]
-    balanced_subsets = sum(
-        w * w02.get(alpha - k, 0) * w12.get(beta + k, 0) for alpha, beta in balanced for k, w in w01.items()
+    w = {(u, v): weights(u, v) for u, v in itertools.combinations(range(4), 2)}
+    w01, w02, w03, w12, w13, w23 = w.values()
+    vectors = [(0, 0, 0)] + [
+        tuple((v == p) - (v == q) for v in (1, 2, 3)) for p, q in itertools.permutations(range(4), 2)
+    ]
+    # np.convolve and np.dot on object arrays multiply and add exact ints.
+    s_low = min(w13) + min(w23)
+    balanced_subsets = 0
+    for alpha1, alpha2, alpha3 in vectors:
+        w03_at_s = np.array([w03.get(-s - alpha3, 0) for s in range(s_low, max(w13) + max(w23) + 1)], dtype=object)
+        for k12, w_12 in w12.items():
+            f = np.array([c * w01.get(k12 + k13 - alpha1, 0) for k13, c in w13.items()], dtype=object)
+            h = np.array([c * w02.get(k23 - k12 - alpha2, 0) for k23, c in w23.items()], dtype=object)
+            balanced_subsets += w_12 * np.dot(np.convolve(f, h), w03_at_s)
+    matchings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    shifts = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    split = sum(
+        (w[p].get(kp, 0) - (kp == 0)) * (w[q].get(kq, 0) - (kq == 0)) for p, q in matchings for kp, kq in shifts
     )
-    return balanced_subsets - 1
+    return balanced_subsets - 1 - split
 
 
 def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

@@ -886,7 +886,7 @@ class TestEntrypoint:
             "print(gc.isenabled(), gc.get_freeze_count())\n"
             f"sys.argv = ['trailfrac', *{argv!r}]\n"
             f"if isinstance({want!r}, str):\n"
-            "    cli._HANDLERS['bounds'] = lambda args: 1 / 0\n"
+            "    cli._cmd_bounds = lambda args: 1 / 0\n"
             "try:\n"
             "    cli.entrypoint()\n"
             "except BaseException as exc:\n"

@@ -27,16 +27,16 @@ from trailfrac import (
     is_trail,
     wilson_interval,
 )
-from trailfrac.counting import _trail_kernel
+from trailfrac.counting import _frontier_order, _trail_kernel
 
 from helpers import (
     brute_force_d,
     enumerate_d,
+    few_vertex_d,
     mask_members,
     numpy_reference_d,
     pack_columns,
     small_corpus,
-    three_vertex_d,
     two_disjoint_two_cycles,
 )
 
@@ -66,14 +66,41 @@ def multigraphs_with_pair_classes(draw):
 
 
 @st.composite
-def multigraphs_on_three_vertices(draw):
-    """n in 1..6 and m <= 14, every edge between at most three chosen vertices."""
+def multigraphs_on_few_vertices(draw):
+    """n in 1..6 and m <= 14, every edge between at most four chosen vertices."""
     n = draw(st.integers(1, 6))
-    chosen = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    chosen = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
     if len(chosen) < 2:
         return Multigraph(n, ())
     pair = st.tuples(st.sampled_from(chosen), st.sampled_from(chosen)).filter(lambda p: p[0] != p[1])
     return Multigraph(n, tuple(draw(st.lists(pair, max_size=14))))
+
+
+@st.composite
+def graphs_and_disjoint_unions(draw):
+    """A graph from ``multigraphs_with_parallels``, or the disjoint union of two
+    such graphs cut to 7 edges each, the second's vertices numbered after the
+    first's."""
+    g = draw(multigraphs_with_parallels())
+    if not draw(st.booleans()):
+        return g
+    h = draw(multigraphs_with_parallels())
+    n = g.vertex_count
+    return Multigraph(n + h.vertex_count, g.edges[:7] + tuple((s + n, t + n) for s, t in h.edges[:7]))
+
+
+def shuffled_frontier_order(seed: int):
+    """A stand-in for ``counting._frontier_order`` that shuffles its order with a seeded generator."""
+
+    def order(adj):
+        vertices = _frontier_order(adj)
+        random.Random(seed).shuffle(vertices)
+        return vertices
+
+    return order
+
+
+FEW_VERTEX_ROWS = [(n, m, seed) for n, ms in ((3, (300, 3000)), (4, (100, 300))) for m in ms for seed in (1, 2)]
 
 
 @st.composite
@@ -165,16 +192,20 @@ class TestExactCount:
         assert count_trails_exact(g).d == enumerate_d(g)
 
     @settings(max_examples=150, deadline=None)
-    @given(multigraphs_on_three_vertices())
+    @given(multigraphs_on_few_vertices())
     def test_three_vertex_sum_matches_numpy_reference(self, g):
-        assert three_vertex_d(g) == numpy_reference_d(g)
+        assert few_vertex_d(g) == numpy_reference_d(g)
 
     # Exact checks far past enumeration on graphs that are neither the family,
-    # a path nor a cycle.
-    @pytest.mark.parametrize("m,seed", [(300, 1), (300, 2), (3000, 1), (3000, 2)])
-    def test_matches_three_vertex_sum(self, m, seed):
-        g = gen_random_multigraph(3, m, seed)
-        assert count_trails_exact(g).d == three_vertex_d(g)
+    # a path nor a cycle. The n = 3 rows are named by m and seed alone.
+    @pytest.mark.parametrize(
+        "n,m,seed",
+        FEW_VERTEX_ROWS,
+        ids=[f"{m}-{seed}" if n == 3 else f"n{n}-{m}-{seed}" for n, m, seed in FEW_VERTEX_ROWS],
+    )
+    def test_matches_three_vertex_sum(self, n, m, seed):
+        g = gen_random_multigraph(n, m, seed)
+        assert count_trails_exact(g).d == few_vertex_d(g)
 
     # Recorded with the block enumeration before the frontier count replaced it.
     @pytest.mark.parametrize("n,m,seed,d", [(6, 24, 5, 40694), (9, 26, 11, 26479)])
@@ -212,6 +243,23 @@ class TestExactCount:
         samples = 100_000
         estimate = estimate_trail_fraction(g, samples, seed=11).estimate
         assert abs(estimate - f) <= 5 * (f * (1 - f) / samples) ** 0.5
+
+    # d must not depend on the vertex order. A shuffled order interleaves the
+    # components of a disjoint union on the frontier.
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_disjoint_unions(), st.integers(0, 2**32 - 1))
+    def test_any_vertex_order_matches_numpy_reference(self, g, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trailfrac.counting, "_frontier_order", shuffled_frontier_order(seed))
+            assert count_trails_exact(g).d == numpy_reference_d(g)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shuffled_orders_match_default_order(self, monkeypatch, seed):
+        g = gen_random_multigraph(8, 30, seed)
+        want = count_trails_exact(g).d
+        for order_seed in range(3):
+            monkeypatch.setattr(trailfrac.counting, "_frontier_order", shuffled_frontier_order(order_seed))
+            assert count_trails_exact(g).d == want
 
     def test_state_budget(self, monkeypatch):
         g = gen_random_multigraph(8, 40, seed=2)
