@@ -8,10 +8,12 @@ vertex pairs it uses, so the edges between a pair form one class, decided
 in a single step with binomial weights. The classes are taken in a greedy
 vertex order that keeps the frontier, the vertices with both decided and
 undecided classes, small; a live state records what the undecided classes
-still need to know about the decided ones. Its cost grows with the number
-of live states, not with 2^m, and a budget of ``EXACT_MAX_STATES`` bounds
-it. Only the standard library runs on this path; the report holds m and d,
-and loads ``fractions`` only when its ``f``, d / 2^m, is read.
+still need to know about the decided ones, in a slot per frontier vertex
+that the step deciding the vertex's last class frees. Its cost grows with
+the number of live states, not with 2^m, and a budget of
+``EXACT_MAX_STATES`` bounds it. Only the standard library runs on this
+path; the report holds m and d, and loads ``fractions`` only when its
+``f``, d / 2^m, is read.
 
 ``estimate_trail_fraction`` draws subsets from m independent fair bits per
 sample. Sample ``i`` takes the ``ceil(m/64)`` Philox words at positions
@@ -38,10 +40,10 @@ from itertools import chain
 from .graphs import Multigraph, Record, _check_ints
 
 # Live frontier states allowed after any step of the exact count. The densest
-# graph tried, gen_random_multigraph(5, 400, 1), peaks at 196 753 states, 98%
-# of the budget, and takes 10.5-11.6 s and 102 MB max RSS as `trailfrac count`;
-# gen_random_multigraph(16, 40, 1) peaks at 1.1e3 states in 0.06 s (2-vCPU
-# Xeon VM, Python 3.11).
+# graph tried, gen_random_multigraph(5, 400, 1), peaks at 195 144 states, 98%
+# of the budget, and takes 11.3-13.3 s and 102 MB max RSS as `trailfrac count`;
+# gen_random_multigraph(16, 40, 1) peaks at 1.0e3 states in 0.04-0.05 s
+# (2-vCPU Xeon VM, Python 3.11).
 EXACT_MAX_STATES = 200_000
 
 # Bytes of packed Philox words per estimator block.
@@ -213,23 +215,41 @@ def _canonical(labels: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     return tuple(seen.setdefault(label, len(seen)) for label in labels)
 
 
-def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int, int, int, int]) -> dict:
+def _free(labels: list[int] | tuple[int, ...], gone: list[int]) -> tuple[int, ...] | bool:
+    """Canonical ``labels`` with the slots in ``gone`` set to 0, or the fate of a component they finish.
+
+    A component with no frontier vertex left is finished. The state then
+    ends as a trail (True) if no other component finishes and no frontier
+    vertex left is touched, as its +1 and -1 ends, counted in ``plus`` and
+    ``minus``, pair up; otherwise it is dropped (False).
+    """
+    kept = [0 if p in gone else x for p, x in enumerate(labels)]
+    ended = {labels[p] for p in gone} - {0} - set(kept)
+    return len(ended) == 1 and not any(kept) if ended else _canonical(kept)
+
+
+def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int, ...], gone: list[int]) -> tuple[dict, int]:
     """Decide the class of ``a`` edges u->v and ``b`` edges v->u for every live state.
 
-    u and v sit at frontier positions ``pu`` and ``pv``; ``rest`` holds the
-    out- and in-edges of u and of v still undecided after this class. A
-    choice of i forward and j backward edges shifts u's imbalance by
-    k = i - j and v's by -k; by Vandermonde, C(a + b, b + k) choices share
-    each k, one fewer for k = 0, whose empty choice changes nothing.
+    u and v hold slots ``pu`` and ``pv``; ``rest`` holds the out- and
+    in-edges of u and of v still undecided after this class. It frees the
+    slots in ``gone``, those of u and v left with none: their imbalance and
+    label become 0 (``_free``). A choice of i forward and j backward edges
+    shifts u's imbalance by k = i - j and v's by -k; by Vandermonde,
+    C(a + b, b + k) choices share each k, one fewer for k = 0, whose empty
+    choice joins nothing. Returns the new states and the weight of the
+    subsets that end here as trails.
     """
     ou, nu, ov, nv = rest
     ou0, nu0, ov0, nv0 = ou + a, nu + b, ov + b, nv + a
+    su, sv = int(pu not in gone), int(pv not in gone)
     weights = [1] * (a + b + 1)
     for t in range(a + b):
         weights[t + 1] = weights[t] * (a + b - t) // (t + 1)
     weights[b] -= 1
-    merged: dict[tuple[int, ...], tuple[int, ...]] = {}
+    merged: dict[tuple[int, ...], tuple] = {}
     new: dict = {}
+    done = 0
     for (imbs, labels, plus, minus), w in states.items():
         iu, iv = imbs[pu], imbs[pv]
         # Undecided edges must still be able to bring both imbalances into [-1, 1].
@@ -241,13 +261,14 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
         # them back as their new imbalance and undecided edges leave them.
         plus -= (iu - nu0 >= 1) + (iv - nv0 >= 1)
         minus -= (iu + ou0 <= -1) + (iv + ov0 <= -1)
-        nl = merged.get(labels)
-        if nl is None:
+        fate = merged.get(labels)
+        if fate is None:
             lu, lv = labels[pu], labels[pv]
             keep = lu or lv or max(labels) + 1
             joined = [keep if x and x in (lu, lv) else x for x in labels]
             joined[pu] = joined[pv] = keep
-            nl = merged[labels] = _canonical(joined)
+            fate = merged[labels] = (_free(labels, gone), _free(joined, gone)) if gone else (labels, _canonical(joined))
+        same, nl = fate
         shifted = list(imbs)
         for k in range(lo, hi + 1):
             ju, jv = iu + k, iv - k
@@ -255,50 +276,25 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
             q = minus + (ju + ou <= -1) + (jv + ov <= -1)
             if p > 1 or q > 1:
                 continue
-            if k == 0:
-                key = (imbs, labels, p, q)
-                new[key] = new.get(key, 0) + w
-            if weights[b + k]:
-                shifted[pu], shifted[pv] = ju, jv
-                key = (tuple(shifted), nl, p, q)
-                new[key] = new.get(key, 0) + w * weights[b + k]
+            shifted[pu], shifted[pv] = ju * su, jv * sv
+            imbs = tuple(shifted)
+            if k == 0 and same:
+                if same is True:
+                    done += w
+                else:
+                    key = (imbs, same, p, q)
+                    new[key] = new.get(key, 0) + w
+            if weights[b + k] and nl:
+                if nl is True:
+                    done += w * weights[b + k]
+                else:
+                    key = (imbs, nl, p, q)
+                    new[key] = new.get(key, 0) + w * weights[b + k]
         if len(new) > EXACT_MAX_STATES:
             raise ValueError(
                 f"exact count stopped at {len(new)} live frontier states, over the budget of "
                 f"{EXACT_MAX_STATES}; estimate f(G) instead (trailfrac estimate)"
             )
-    return new
-
-
-def _retire(states: dict, p: int) -> tuple[dict, int]:
-    """Drop the vertex at frontier position ``p``, whose classes are all decided.
-
-    Its imbalance already lies in [-1, 1] and is counted among the bound
-    ends. Returns the surviving states and the weight of the subsets
-    completed here: when the vertex was its component's last frontier
-    vertex, the component is finished, so the state ends as a trail if no
-    other frontier vertex is touched, and is dropped otherwise. Its +1 and -1
-    ends then always pair up: every touched vertex belongs to the finished
-    component and has retired with an imbalance in [-1, 1], so ``plus`` and
-    ``minus`` count exactly its +1 and -1 vertices, whose imbalances sum to 0.
-    """
-    new: dict = {}
-    done = 0
-    fate: dict[tuple[int, ...], tuple[tuple[int, ...] | None, bool]] = {}
-    for (imbs, labels, plus, minus), w in states.items():
-        if labels not in fate:
-            rest = labels[:p] + labels[p + 1 :]
-            if labels[p] and labels[p] not in rest:
-                fate[labels] = (None, not any(rest))
-            else:
-                fate[labels] = (_canonical(rest), False)
-        rest, alone = fate[labels]
-        if rest is None:
-            if alone:
-                done += w
-            continue
-        key = (imbs[:p] + imbs[p + 1 :], rest, plus, minus)
-        new[key] = new.get(key, 0) + w
     return new, done
 
 
@@ -306,17 +302,18 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     """Exact d(G) and f(G) by a frontier dynamic program over unordered vertex pairs.
 
     The edges between each pair of vertices form one class, decided in one
-    step; a vertex enters the frontier when the vertex order of
-    ``_frontier_order`` reaches it and leaves after its last class. A state
-    holds, for each frontier vertex, its imbalance and a canonical component
-    label (0 for untouched), plus the number of vertices bound to end at +1
-    and at -1 (at most one each): left at that imbalance, or unable to get
-    back with their undecided edges. It carries the number of subsets of the
-    decided edges that reach it. A state is dropped once some
-    imbalance cannot return to [-1, 1]. When a component loses its last
-    frontier vertex, the subsets of that state that take no further edge are
-    trails exactly when no other frontier vertex is touched. Isolated vertices
-    never enter the frontier. The vertex order changes the run time, never d.
+    step. A vertex takes a slot, a freed one if there is one, when the order
+    of ``_frontier_order`` reaches it, and frees it in the step that decides
+    its last class. A state holds, for each slot, its vertex's imbalance and
+    a canonical component label (0 for untouched or free), plus the number
+    of vertices bound to end at +1 and at -1 (at most one each): left at
+    that imbalance, or unable to get back with their undecided edges. It
+    carries the number of subsets of the decided edges that reach it. A
+    state is dropped once some imbalance cannot return to [-1, 1]. When a
+    component loses its last frontier vertex, the subsets of that state that
+    take no further edge are trails exactly when no other frontier vertex is
+    touched. Isolated vertices never take a slot. The vertex order changes
+    the run time, never d.
 
     Raises ``ValueError`` when more than ``EXACT_MAX_STATES`` states are live.
     """
@@ -330,24 +327,26 @@ def count_trails_exact(g: Multigraph) -> CountReport:
         adj.setdefault(t, set()).add(s)
         outs[s] += k
         ins[t] += k
-    frontier: list[int] = []
+    # The slot of each frontier vertex, in the order the vertices took them.
+    slot: dict[int, int] = {}
+    free: list[int] = []
     states: dict = {((), (), 0, 0): 1}
     d = 0
     for x in _frontier_order(adj):
-        states = {(imbs + (0,), labels + (0,), p, q): w for (imbs, labels, p, q), w in states.items()}
-        frontier.append(x)
-        for pu, u in enumerate(frontier[:-1]):
-            if u in adj[x]:
-                a, b = pairs[u, x], pairs[x, u]
-                outs[u] -= a
-                ins[u] -= b
-                outs[x] -= b
-                ins[x] -= a
-                rest = (outs[u], ins[u], outs[x], ins[x])
-                states = _take_class(states, pu, len(frontier) - 1, a, b, rest)
-        for v in [v for v in frontier if outs[v] == ins[v] == 0]:
-            states, done = _retire(states, frontier.index(v))
-            frontier.remove(v)
+        if not free:
+            free.append(len(slot))
+            states = {(imbs + (0,), labels + (0,), p, q): w for (imbs, labels, p, q), w in states.items()}
+        slot[x] = free.pop()
+        for u in [u for u in slot if u in adj[x]]:
+            a, b = pairs[u, x], pairs[x, u]
+            outs[u] -= a
+            ins[u] -= b
+            outs[x] -= b
+            ins[x] -= a
+            pu, px = slot[u], slot[x]
+            gone = [slot.pop(v) for v in (u, x) if outs[v] == ins[v] == 0]
+            free += gone
+            states, done = _take_class(states, pu, px, a, b, (outs[u], ins[u], outs[x], ins[x]), gone)
             d += done
     return CountReport(g.m, d)
 
