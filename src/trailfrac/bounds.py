@@ -35,7 +35,7 @@ _CASE2_MAX = 64
 _VANDERMONDE_MAX = 200
 
 # The least integer that float() rounds past the largest float; the headline
-# rate divides by m as a float.
+# rate divides by m as a float, and the Stirling bracket multiplies by n.
 _M_LIMIT = (1 << 1024) - (1 << 970)
 
 
@@ -83,6 +83,8 @@ def stirling_bounds(n: int) -> StirlingBounds:
     [n] = _check_ints(n=n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n >= _M_LIMIT:
+        raise ValueError(f"n must be below 2**1024 - 2**970 (the least integer float() cannot convert); got a {n.bit_length()}-bit n")
     return StirlingBounds(*_stirling_logs(n))
 
 

@@ -148,7 +148,7 @@ def _cmd_estimate(args) -> str:
     if args.format == "text":
         return (
             f"estimate: {report.estimate}\n"
-            f"{int(round(report.confidence * 100))}% CI: [{report.ci_low}, {report.ci_high}]\n"
+            f"{report.confidence * 100:.10g}% CI: [{report.ci_low}, {report.ci_high}]\n"
             f"samples: {report.samples}\n"
             f"seed: {report.seed}\n"
         )

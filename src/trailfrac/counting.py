@@ -209,12 +209,6 @@ def _frontier_order(adj: dict[int, set[int]]) -> list[int]:
     return order
 
 
-def _canonical(labels: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """Renumber component labels 1, 2, ... in order of first appearance; 0 stays 0."""
-    seen = {0: 0}
-    return tuple(seen.setdefault(label, len(seen)) for label in labels)
-
-
 def _free(labels: list[int] | tuple[int, ...], gone: list[int]) -> tuple[int, ...] | bool:
     """Canonical ``labels`` with the slots in ``gone`` set to 0, or the fate of a component they finish.
 
@@ -223,22 +217,26 @@ def _free(labels: list[int] | tuple[int, ...], gone: list[int]) -> tuple[int, ..
     vertex left is touched, as its +1 and -1 ends, counted in ``plus`` and
     ``minus``, pair up; otherwise it is dropped (False).
     """
-    kept = [0 if p in gone else x for p, x in enumerate(labels)]
+    kept = list(labels)
+    for p in gone:
+        kept[p] = 0
     ended = {labels[p] for p in gone} - {0} - set(kept)
-    return len(ended) == 1 and not any(kept) if ended else _canonical(kept)
+    seen = {0: 0}
+    return len(ended) == 1 and not any(kept) if ended else tuple([seen.setdefault(x, len(seen)) for x in kept])
 
 
 def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int, ...], gone: list[int]) -> tuple[dict, int]:
     """Decide the class of ``a`` edges u->v and ``b`` edges v->u for every live state.
 
     u and v hold slots ``pu`` and ``pv``; ``rest`` holds the out- and
-    in-edges of u and of v still undecided after this class. It frees the
-    slots in ``gone``, those of u and v left with none: their imbalance and
-    label become 0 (``_free``). A choice of i forward and j backward edges
-    shifts u's imbalance by k = i - j and v's by -k; by Vandermonde,
-    C(a + b, b + k) choices share each k, one fewer for k = 0, whose empty
-    choice joins nothing. Returns the new states and the weight of the
-    subsets that end here as trails.
+    in-edges of u and of v still undecided after this class. Slots new to the
+    states, up to ``max(pu, pv)``, enter every state untouched; all share one
+    width, as the untouched state always lives. The step frees the slots in
+    ``gone``, those of u and v left with none: their imbalance and label
+    become 0 (``_free``). A choice of i forward and j backward edges shifts
+    u's imbalance by k = i - j and v's by -k; by Vandermonde, C(a + b, b + k)
+    choices share each k, one fewer for k = 0, whose empty choice joins
+    nothing. Returns the new states and the number of trails that end here.
     """
     ou, nu, ov, nv = rest
     ou0, nu0, ov0, nv0 = ou + a, nu + b, ov + b, nv + a
@@ -250,7 +248,9 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
     merged: dict[tuple[int, ...], tuple] = {}
     new: dict = {}
     done = 0
+    pad = (0,) * (max(pu, pv) + 1 - len(next(iter(states))[0]))
     for (imbs, labels, plus, minus), w in states.items():
+        imbs, labels = imbs + pad, labels + pad
         iu, iv = imbs[pu], imbs[pv]
         # Undecided edges must still be able to bring both imbalances into [-1, 1].
         lo = max(-b, -1 - ou - iu, iv - 1 - nv)
@@ -267,7 +267,7 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
             keep = lu or lv or max(labels) + 1
             joined = [keep if x and x in (lu, lv) else x for x in labels]
             joined[pu] = joined[pv] = keep
-            fate = merged[labels] = (_free(labels, gone), _free(joined, gone)) if gone else (labels, _canonical(joined))
+            fate = merged[labels] = (_free(labels, gone), _free(joined, gone))
         same, nl = fate
         shifted = list(imbs)
         for k in range(lo, hi + 1):
@@ -305,15 +305,15 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     step. A vertex takes a slot, a freed one if there is one, when the order
     of ``_frontier_order`` reaches it, and frees it in the step that decides
     its last class. A state holds, for each slot, its vertex's imbalance and
-    a canonical component label (0 for untouched or free), plus the number
-    of vertices bound to end at +1 and at -1 (at most one each): left at
-    that imbalance, or unable to get back with their undecided edges. It
-    carries the number of subsets of the decided edges that reach it. A
-    state is dropped once some imbalance cannot return to [-1, 1]. When a
-    component loses its last frontier vertex, the subsets of that state that
-    take no further edge are trails exactly when no other frontier vertex is
-    touched. Isolated vertices never take a slot. The vertex order changes
-    the run time, never d.
+    a canonical component label: 1, 2, ... by first appearance, 0 for
+    untouched or free. It also holds the number of vertices bound to end at
+    +1 and at -1 (at most one each): left at that imbalance, or unable to
+    get back with their undecided edges. It carries the number of subsets of
+    the decided edges that reach it. A state is dropped once some imbalance
+    cannot return to [-1, 1]. When a component loses its last frontier
+    vertex, the subsets of that state that take no further edge are trails
+    exactly when no other frontier vertex is touched. Isolated vertices
+    never take a slot. The vertex order changes the run time, never d.
 
     Raises ``ValueError`` when more than ``EXACT_MAX_STATES`` states are live.
     """
@@ -333,10 +333,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     states: dict = {((), (), 0, 0): 1}
     d = 0
     for x in _frontier_order(adj):
-        if not free:
-            free.append(len(slot))
-            states = {(imbs + (0,), labels + (0,), p, q): w for (imbs, labels, p, q), w in states.items()}
-        slot[x] = free.pop()
+        slot[x] = free.pop() if free else len(slot)
         for u in [u for u in slot if u in adj[x]]:
             a, b = pairs[u, x], pairs[x, u]
             outs[u] -= a

@@ -8,6 +8,7 @@ import pytest
 
 from trailfrac import (
     Case2TailCheck,
+    StirlingBounds,
     balance_window_probability,
     bound_report,
     case2_tail_bound_check,
@@ -88,6 +89,13 @@ class TestStirling:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             stirling_bounds(0)
+
+    def test_rejects_n_past_the_largest_float(self):
+        # Below the limit both logs overflow to inf; at it float(n) would raise OverflowError.
+        assert stirling_bounds(bounds._M_LIMIT - 1) == StirlingBounds(log_lower=math.inf, log_upper=math.inf)
+        for n in (bounds._M_LIMIT, 1 << 1024, 10**309):
+            with pytest.raises(ValueError, match=r"n must be below 2\*\*1024 - 2\*\*970 .*; got a \d+-bit n"):
+                stirling_bounds(n)
 
 
 def test_lgamma_agrees_with_exact_log_factorial():

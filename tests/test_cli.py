@@ -403,6 +403,15 @@ GOLDEN_RENDERINGS = [
         "estimate: 0.1376\n95% CI: [0.12832951333857903, 0.1474269170311984]\nsamples: 5000\nseed: 7\n",
     ),
     (
+        # A level that is no whole percent is written as given, not rounded.
+        ["estimate", "random5", "--samples", "5000", "--seed", "7", "--confidence", "0.999", "--format", "text"],
+        "estimate: 0.1376\n99.9% CI: [0.12235089171113388, 0.1544152807138522]\nsamples: 5000\nseed: 7\n",
+    ),
+    (
+        ["estimate", "random5", "--samples", "5000", "--seed", "7", "--confidence", "0.975", "--format", "text"],
+        "estimate: 0.1376\n97.5% CI: [0.12704379416233086, 0.1488837373722568]\nsamples: 5000\nseed: 7\n",
+    ),
+    (
         ["estimate", "random5", "--samples", "5000", "--seed", "7", "--format", "csv"],
         "estimate,ci_low,ci_high,confidence,samples,seed\n0.1376,0.12832951333857903,0.1474269170311984,0.95,5000,7\n",
     ),

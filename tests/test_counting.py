@@ -261,6 +261,25 @@ class TestExactCount:
             monkeypatch.setattr(trailfrac.counting, "_frontier_order", shuffled_frontier_order(order_seed))
             assert count_trails_exact(g).d == want
 
+    # The live states of the default order, recorded before the slots grew
+    # inside the class step: the largest table a step returns, and the states
+    # entering all steps. Labels left unrenumbered keep d but raise both, to
+    # 1 297 and 10 098 for n = 16.
+    @pytest.mark.parametrize("n,peak,states_in", [(16, 1_024, 7_359), (12, 16_680, 97_602)])
+    def test_live_state_counts(self, monkeypatch, n, peak, states_in):
+        take_class = trailfrac.counting._take_class
+        seen = {"peak": 0, "in": 0}
+
+        def counted(states, *args):
+            new, done = take_class(states, *args)
+            seen["in"] += len(states)
+            seen["peak"] = max(seen["peak"], len(new))
+            return new, done
+
+        monkeypatch.setattr(trailfrac.counting, "_take_class", counted)
+        count_trails_exact(gen_random_multigraph(n, 40, 1))
+        assert seen == {"peak": peak, "in": states_in}
+
     def test_state_budget(self, monkeypatch):
         g = gen_random_multigraph(8, 40, seed=2)
         assert count_trails_exact(g).m == 40
