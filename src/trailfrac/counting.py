@@ -41,7 +41,7 @@ from .graphs import Multigraph, Record, _check_ints
 
 # Live frontier states allowed after any step of the exact count. The densest
 # graph tried, gen_random_multigraph(5, 400, 1), peaks at 195 144 states, 98%
-# of the budget, and takes 11.3-13.3 s and 102 MB max RSS as `trailfrac count`;
+# of the budget, and takes 10.9-11.8 s and 97 MB max RSS as `trailfrac count`;
 # gen_random_multigraph(16, 40, 1) peaks at 1.0e3 states in 0.04-0.05 s
 # (2-vCPU Xeon VM, Python 3.11).
 EXACT_MAX_STATES = 200_000
@@ -90,12 +90,12 @@ def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], 
     of the last row in place and returns how many columns are trails.
 
     Each touched vertex gets one (word, out-mask, in-mask) entry per word its
-    edges use, and the vertices are taken in descending degree order (ties:
-    lowest index), so most columns fail early. The balance filter adds up each
-    vertex's imbalance, the popcount of its out-edges minus that of its
-    in-edges, and then drops the columns with |imbalance| > 1 or with more than
-    two nonzero imbalances so far; it stops when no column is left. The
-    nonempty survivors then grow a set of reached edges from their lowest
+    edges use, in any order, and the vertices are taken in descending degree
+    order (ties: lowest index), so most columns fail early. The balance filter
+    sums each vertex's imbalance, the popcount of its out-edges minus that of
+    its in-edges, and then drops the columns with |imbalance| > 1 or with more
+    than two nonzero imbalances so far; it stops when no column is left. The
+    nonempty survivors, if any, grow a set of reached edges from their lowest
     edge: a vertex that a reached edge touches reaches all its present edges,
     in sweeps over the vertices until a sweep changes nothing, and a column is
     connected iff it reaches all its edges. Self-loops are forbidden, so two
@@ -112,7 +112,7 @@ def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], 
         masks.setdefault(t, {}).setdefault(j >> 6, [0, 0])[1] |= bit
     degree = Counter(chain.from_iterable(edges))
     plan = [
-        [(w, out, inn) for w, (out, inn) in sorted(masks[v].items())]
+        [(w, out, inn) for w, (out, inn) in masks[v].items()]
         for v in sorted(masks, key=lambda v: (-degree[v], v))
     ]
     # The smallest signed type that holds every vertex imbalance, which lies
@@ -142,7 +142,7 @@ def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], 
             if not keep.size:
                 return 0
         words = words.take(np.flatnonzero(words.any(axis=0)), axis=1)
-        if len(plan) <= 3 or not words.shape[1]:
+        if len(plan) <= 3:
             return words.shape[1]
         # Each column starts from the lowest set bit of its first nonzero word.
         cols = np.arange(words.shape[1])
@@ -195,12 +195,11 @@ def _frontier_order(adj: dict[int, set[int]]) -> list[int]:
             placed.add(v)
             order.append(v)
             changed = set()
-            for u in adj[v]:
-                unplaced[u] -= 1
+            for u in adj[v] | {v}:
+                unplaced[u] -= u != v
                 if u not in placed:
                     changed.add(u)
-            for u in adj[v] | {v}:
-                if u in placed and unplaced[u] == 1:
+                elif unplaced[u] == 1:
                     w = next(w for w in adj[u] if w not in placed)
                     leaving[w] += 1
                     changed.add(w)
@@ -236,7 +235,9 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
     become 0 (``_free``). A choice of i forward and j backward edges shifts
     u's imbalance by k = i - j and v's by -k; by Vandermonde, C(a + b, b + k)
     choices share each k, one fewer for k = 0, whose empty choice joins
-    nothing. Returns the new states and the number of trails that end here.
+    nothing; a state with no feasible k makes none. Two untouched vertices
+    join as label -1, which no slot holds and ``_free`` renumbers. Returns the
+    new states and the number of trails that end here.
     """
     ou, nu, ov, nv = rest
     ou0, nu0, ov0, nv0 = ou + a, nu + b, ov + b, nv + a
@@ -255,8 +256,6 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
         # Undecided edges must still be able to bring both imbalances into [-1, 1].
         lo = max(-b, -1 - ou - iu, iv - 1 - nv)
         hi = min(a, 1 + nu - iu, iv + 1 + ov)
-        if lo > hi:
-            continue
         # Take u and v out of the bound-end counts; each choice below puts
         # them back as their new imbalance and undecided edges leave them.
         plus -= (iu - nu0 >= 1) + (iv - nv0 >= 1)
@@ -264,7 +263,7 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
         fate = merged.get(labels)
         if fate is None:
             lu, lv = labels[pu], labels[pv]
-            keep = lu or lv or max(labels) + 1
+            keep = lu or lv or -1
             joined = [keep if x and x in (lu, lv) else x for x in labels]
             joined[pu] = joined[pv] = keep
             fate = merged[labels] = (_free(labels, gone), _free(joined, gone))
@@ -364,6 +363,15 @@ def count_family_closed_form(m: int) -> FamilyCount:
     return FamilyCount(m=m, even_count=even, odd_count=odd, total=even + odd)
 
 
+def _check_confidence(confidence: float) -> None:
+    """Raise ``ValueError`` unless the normal quantile at (1 + confidence) / 2 exists in floats."""
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    # 1 - 2**-53, the largest float below 1, rounds (1 + confidence) / 2 up to 1.
+    if (1 + confidence) / 2 == 1:
+        raise ValueError(f"confidence must be at most 1 - 2**-52, got {confidence}")
+
+
 def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -376,8 +384,7 @@ def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[fl
         raise ValueError("samples must be positive")
     if not 0 <= successes <= samples:
         raise ValueError(f"successes must lie in [0, {samples}], got {successes}")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    _check_confidence(confidence)
     from statistics import NormalDist
 
     z = NormalDist().inv_cdf((1 + confidence) / 2)
@@ -403,8 +410,7 @@ def estimate_trail_fraction(
     samples, seed = _check_ints(samples=samples, seed=seed)
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    _check_confidence(confidence)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     import numpy as np

@@ -48,7 +48,7 @@ def gen_random_multigraph(n: int, m: int, seed: int) -> Multigraph:
     """Random multigraph: each edge gets a uniform source and a uniform target
     among the other n-1 vertices (self-loops excluded by construction).
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, which must be nonnegative.
     """
     n, m, seed = _check_ints(n=n, m=m, seed=seed)
     if m < 0:
@@ -57,6 +57,9 @@ def gen_random_multigraph(n: int, m: int, seed: int) -> Multigraph:
         raise ValueError(f"need n >= 2 to draw self-loop-free edges, got n={n}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got n={n}")
+    # random.Random seeds with |seed|, so -s would silently alias s.
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got seed={seed}")
     rng = random.Random(seed)
     edges = []
     for _ in range(m):

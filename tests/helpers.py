@@ -217,6 +217,31 @@ def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(vertices), tuple(fresh_edges), tuple(eliminated)
 
 
+def reference_frontier_order(adj: dict[int, set[int]]) -> list[int]:
+    """The greedy min-frontier order of ``counting._frontier_order``, each key recomputed from scratch.
+
+    While some placed vertex has an unplaced neighbour, the next vertex is the
+    unplaced neighbour x of a placed vertex with the least (frontier change,
+    unplaced neighbours, index). The change is 1 if x keeps an unplaced
+    neighbour, less one for each placed vertex whose only unplaced neighbour
+    is x. Otherwise the unplaced vertex of least degree (ties: lowest index)
+    starts the next weak component.
+    """
+    placed: set[int] = set()
+    order: list[int] = []
+
+    def key(x: int) -> tuple[int, int, int]:
+        leaving = sum(adj[p] - placed == {x} for p in adj[x] & placed)
+        return ((len(adj[x] - placed) > 0) - leaving, len(adj[x] - placed), x)
+
+    while len(order) < len(adj):
+        candidates = set().union(*(adj[p] for p in placed)) - placed
+        v = min(candidates, key=key) if candidates else min(set(adj) - placed, key=lambda x: (len(adj[x]), x))
+        placed.add(v)
+        order.append(v)
+    return order
+
+
 @contextmanager
 def int_digit_limit(limit: int):
     """Run the block under ``sys.set_int_max_str_digits(limit)`` (0 lifts the limit), then restore it."""

@@ -99,6 +99,12 @@ class TestGen:
         g = parse_graph(first)
         assert g.vertex_count == 4 and g.m == 9
 
+    def test_random_negative_seed_exits_1(self, capsys):
+        code, out, err = run(capsys, ["gen", "random", "--n", "5", "--m", "8", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "seed must be nonnegative, got seed=-1" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.txt"
         code, out, _ = run(capsys, ["gen", "star", "--k", "3", "--out", str(target)])
@@ -278,6 +284,13 @@ class TestEstimate:
         )
         assert code == 1
         assert "confidence" in err
+
+    def test_confidence_rounding_to_one_exits_1(self, capsys, family4_file):
+        argv = ["estimate", family4_file, "--samples", "10", "--seed", "0", "--confidence", "0.9999999999999999"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "error: confidence must be at most 1 - 2**-52" in err
 
     def test_negative_seed_exits_1(self, capsys, family4_file):
         code, _, err = run(capsys, ["estimate", family4_file, "--samples", "10", "--seed", "-1"])

@@ -36,6 +36,7 @@ from helpers import (
     mask_members,
     numpy_reference_d,
     pack_columns,
+    reference_frontier_order,
     small_corpus,
     two_disjoint_two_cycles,
 )
@@ -181,7 +182,8 @@ class TestExactCount:
 
     @settings(max_examples=200, deadline=None)
     @given(multigraphs_with_parallels())
-    # Reaches the empty shift range (``lo > hi``) in ``counting._take_class``; d = 42.
+    # Has a live state that no shift k of ``counting._take_class`` can bring
+    # back into balance, so its range of k is empty; d = 42.
     @example(Multigraph(5, ((1, 3), (4, 2), (3, 2), (3, 2), (4, 1), (4, 1), (3, 2), (1, 3), (1, 3))))
     def test_matches_numpy_reference(self, g):
         assert count_trails_exact(g).d == numpy_reference_d(g)
@@ -260,6 +262,21 @@ class TestExactCount:
         for order_seed in range(3):
             monkeypatch.setattr(trailfrac.counting, "_frontier_order", shuffled_frontier_order(order_seed))
             assert count_trails_exact(g).d == want
+
+    # The examples tell apart keys that drop the leaving term (the first) or
+    # break ties by index alone (the second), which few drawn graphs do, and
+    # give the heap many stale entries (the third).
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_disjoint_unions())
+    @example(Multigraph(4, ((1, 3), (2, 1), (3, 2), (3, 0), (0, 2))))
+    @example(Multigraph(5, ((2, 3), (2, 4), (1, 0), (4, 1), (2, 1))))
+    @example(gen_random_multigraph(40, 120, 1))
+    def test_frontier_order_matches_reference(self, g):
+        adj: dict[int, set[int]] = {}
+        for s, t in g.edges:
+            adj.setdefault(s, set()).add(t)
+            adj.setdefault(t, set()).add(s)
+        assert _frontier_order(adj) == reference_frontier_order(adj)
 
     # The live states of the default order, recorded before the slots grew
     # inside the class step: the largest table a step returns, and the states
@@ -499,6 +516,15 @@ class TestEstimate:
         with pytest.raises(ValueError, match="confidence"):
             estimate_trail_fraction(gen_path(1), samples=10, seed=0, confidence=1.0)
 
+    def test_confidence_rounding_to_one_rejected_before_any_draw(self, monkeypatch):
+        # (1 + c) / 2 rounds to 1.0 for c = 1 - 2**-53, whose normal quantile does not exist.
+        def no_kernel(edges):
+            raise AssertionError("built the sampling kernel")
+
+        monkeypatch.setattr(trailfrac.counting, "_trail_kernel", no_kernel)
+        with pytest.raises(ValueError, match=r"^confidence must be at most 1 - 2\*\*-52, got 0.9999999999999999$"):
+            estimate_trail_fraction(gen_path(1), samples=10, seed=0, confidence=1 - 2**-53)
+
     def test_invalid_samples(self):
         with pytest.raises(ValueError, match="samples"):
             estimate_trail_fraction(gen_path(1), samples=0, seed=0)
@@ -586,7 +612,8 @@ class TestWilson:
                     assert lo == pytest.approx(max(0.0, center - half), abs=1e-12)
                     assert hi == pytest.approx(min(1.0, center + half), abs=1e-12)
 
-    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    # 1 - 2**-52 is the largest confidence accepted.
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 2**-52])
     def test_limits_solve_the_score_equation(self, confidence):
         # The Wilson limits are the proportions q at which the score statistic
         # |p - q| / sqrt(q (1 - q) / n) of the estimate p equals z.
@@ -624,6 +651,8 @@ class TestWilson:
             (0, 0.95, "samples must be positive"),
             (10, 0.0, r"confidence must lie in \(0, 1\), got 0.0"),
             (10, 1.0, r"confidence must lie in \(0, 1\), got 1.0"),
+            # The largest float below 1, for which (1 + confidence) / 2 rounds to 1.
+            (10, 1 - 2**-53, r"^confidence must be at most 1 - 2\*\*-52, got 0.9999999999999999$"),
         ],
     )
     def test_samples_or_confidence_outside_range_rejected(self, samples, confidence, message):

@@ -136,3 +136,8 @@ class TestRandom:
     def test_rejects_negative_counts(self, n, m, message):
         with pytest.raises(ValueError, match=message):
             gen_random_multigraph(n, m, seed=0)
+
+    def test_rejects_negative_seed(self):
+        # random.Random seeds with |seed|: -1 would give the graph of seed 1.
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got seed=-1$"):
+            gen_random_multigraph(5, 8, seed=-1)
