@@ -363,13 +363,24 @@ def count_family_closed_form(m: int) -> FamilyCount:
     return FamilyCount(m=m, even_count=even, odd_count=odd, total=even + odd)
 
 
-def _check_confidence(confidence: float) -> None:
-    """Raise ``ValueError`` unless the normal quantile at (1 + confidence) / 2 exists in floats."""
+def _check_confidence(confidence: object) -> float:
+    """``confidence`` as a ``float``, or ``ValueError`` naming it.
+
+    It must be a real number, not a ``bool``, whose normal quantile at
+    (1 + confidence) / 2 exists in floats. A numpy float comes back as a
+    ``float``, so the interval is computed in float64 arithmetic.
+    """
+    import numbers
+
+    if isinstance(confidence, bool) or not isinstance(confidence, numbers.Real):
+        raise ValueError(f"confidence must be a real number, got {confidence!r}")
+    confidence = float(confidence)
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     # 1 - 2**-53, the largest float below 1, rounds (1 + confidence) / 2 up to 1.
     if (1 + confidence) / 2 == 1:
         raise ValueError(f"confidence must be at most 1 - 2**-52, got {confidence}")
+    return confidence
 
 
 def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[float, float]:
@@ -384,7 +395,7 @@ def wilson_interval(successes: int, samples: int, confidence: float) -> tuple[fl
         raise ValueError("samples must be positive")
     if not 0 <= successes <= samples:
         raise ValueError(f"successes must lie in [0, {samples}], got {successes}")
-    _check_confidence(confidence)
+    confidence = _check_confidence(confidence)
     from statistics import NormalDist
 
     z = NormalDist().inv_cdf((1 + confidence) / 2)
@@ -410,7 +421,7 @@ def estimate_trail_fraction(
     samples, seed = _check_ints(samples=samples, seed=seed)
     if samples < 1:
         raise ValueError("samples must be positive")
-    _check_confidence(confidence)
+    confidence = _check_confidence(confidence)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     import numpy as np

@@ -516,6 +516,11 @@ class TestEstimate:
         with pytest.raises(ValueError, match="confidence"):
             estimate_trail_fraction(gen_path(1), samples=10, seed=0, confidence=1.0)
 
+    @pytest.mark.parametrize("confidence", ["0.95", None, True])
+    def test_non_real_confidence_rejected(self, confidence):
+        with pytest.raises(ValueError, match=f"^confidence must be a real number, got {confidence!r}$"):
+            estimate_trail_fraction(gen_path(1), samples=10, seed=0, confidence=confidence)
+
     def test_confidence_rounding_to_one_rejected_before_any_draw(self, monkeypatch):
         # (1 + c) / 2 rounds to 1.0 for c = 1 - 2**-53, whose normal quantile does not exist.
         def no_kernel(edges):
@@ -653,6 +658,12 @@ class TestWilson:
             (10, 1.0, r"confidence must lie in \(0, 1\), got 1.0"),
             # The largest float below 1, for which (1 + confidence) / 2 rounds to 1.
             (10, 1 - 2**-53, r"^confidence must be at most 1 - 2\*\*-52, got 0.9999999999999999$"),
+            # Not real numbers: < would raise TypeError on the first two, and True would read as 1.
+            (10, "0.95", r"^confidence must be a real number, got '0.95'$"),
+            (10, None, r"^confidence must be a real number, got None$"),
+            (10, True, r"^confidence must be a real number, got True$"),
+            (10, np.True_, r"^confidence must be a real number, got np.True_$"),
+            (10, 0.95j, r"^confidence must be a real number, got 0.95j$"),
         ],
     )
     def test_samples_or_confidence_outside_range_rejected(self, samples, confidence, message):
@@ -679,6 +690,15 @@ class TestWilson:
         assert wilson_interval(np.int64(7), np.int64(13), 0.9) == wilson_interval(7, 13, 0.9)
         for successes in (0, 7, 13):
             assert set(map(type, wilson_interval(np.int64(successes), np.int64(13), 0.9))) == {float}
+
+    def test_numpy_float_confidence_read_as_float(self):
+        # float32 arithmetic on np.float32(0.95) gives (0.0945311768..., 0.9054688231...).
+        c = np.float32(0.95)
+        assert wilson_interval(1, 2, c) == wilson_interval(1, 2, float(c)) == (0.09453121295777306, 0.9054687870422269)
+        assert wilson_interval(1, 2, Fraction(19, 20)) == wilson_interval(1, 2, 0.95)
+        report = estimate_trail_fraction(gen_family(4), samples=100, seed=1, confidence=c)
+        assert type(report.confidence) is float and report.confidence == float(c)
+        assert report == estimate_trail_fraction(gen_family(4), samples=100, seed=1, confidence=float(c))
 
     def test_width_shrinks_with_samples(self):
         widths = []
