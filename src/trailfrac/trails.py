@@ -84,17 +84,9 @@ def _hierholzer(edges: tuple[tuple[int, int], ...], idx: list[int], imbalances: 
     for j in reversed(idx):  # descending, so each list's end is its lowest edge
         out.setdefault(edges[j][0], []).append(j)
 
-    start = None
-    for v, x in imbalances.items():
-        if x == 1:
-            start = v
-            break
-    if start is None:
-        start = edges[idx[0]][0]
-
     # The walk stands at the target of the top stacked edge, or at the start
     # when the stack is empty; popping an edge steps back to its source.
-    v = start
+    v = next((v for v, x in imbalances.items() if x == 1), edges[idx[0]][0])
     edge_stack: list[int] = []
     reversed_trail: list[int] = []
     while True:

@@ -1,16 +1,19 @@
-"""Exact counts d(G) at sizes where the frontier DP is hard, checked against recorded values.
+"""Every CLI call checked past tier-1, at sizes where a slower algorithm would fail its bounds.
 
-A row is a list of ``trailfrac gen`` arguments and its d. Each graph is built
-and counted by ``python -m trailfrac.cli`` in child processes, so the count
-runs with the collector off, as from the entrypoint. A count must give d
-within TIMEOUT_S seconds of wall time and MAX_RSS_MB of its own max RSS
-(Linux). Family m2000 is checked against its closed form and n4/m1000
-against ``few_vertex_d``. Prints one line per row and exits 1 if any fails;
-about a minute on a 2-vCPU VM, run from the repository root:
+A row is the ``trailfrac gen`` arguments of its graph (or None), a command,
+its recorded result, and its bounds in seconds of wall time and MB of the
+child's own max RSS (Linux). ``count`` must give the recorded d; any other
+command must write output whose SHA-256 is the recorded one. Each call runs
+as ``python -m trailfrac.cli`` in a child process, so it runs with the
+collector off, as from the entrypoint. The checker loads only the standard
+library and hashes in chunks, since a child's max RSS counts the parent's
+resident size at fork. Prints one line per row and exits 1 if any fails;
+about 35 s on a 2-vCPU VM, run from the repository root:
 
-    PYTHONPATH=src:tests python tests/exact_counts.py
+    PYTHONPATH=src python tests/exact_counts.py
 """
 
+import hashlib
 import json
 import math
 import os
@@ -20,61 +23,80 @@ import sys
 import tempfile
 import time
 
-from helpers import few_vertex_d
-from trailfrac import parse_graph
-
-TIMEOUT_S = 30
-MAX_RSS_MB = 150
 ROWS = [
     # Fails on class weights summed over every (i, j) pair: about 55 s here.
-    ("family --m 2000", math.comb(2000, 1000) - 1 + 2 * math.comb(2000, 999)),
-    ("random --n 16 --m 40 --seed 1", 28150),
-    ("random --n 4 --m 1000 --seed 1", few_vertex_d),
+    ("family --m 2000", "count", math.comb(2000, 1000) - 1 + 2 * math.comb(2000, 999), 30, 150),
+    ("random --n 16 --m 40 --seed 1", "count", 28150, 30, 150),
+    # d from tests/helpers.py:few_vertex_d, binomial sums alone, as well as from the DP.
+    ("random --n 4 --m 1000 --seed 1", "count", 4378383008436659174884661679014970209475194817799213379641919710783980941815476153769554840747288474313970376587655656640397251401598631217960023349539993429451413265738966890219597568232628615143481559483783558661434436330424153425575417313577008958763443264427742816823231801199800178008419837456, 30, 150),
     # Rows of the ROADMAP table; each keeps 10^4-10^5 states live.
-    ("random --n 8 --m 60 --seed 1", 18070539613519),
-    ("random --n 30 --m 60 --seed 1", 938999),
-    ("random --n 64 --m 96 --seed 1", 1409897),
-    ("random --n 12 --m 40 --seed 1", 2282820),
-    ("random --n 10 --m 60 --seed 1", 27955471054),
-    ("random --n 40 --m 70 --seed 1", 6687),
-    ("random --n 6 --m 200 --seed 1", 19095778546019295950626501327329528412511134482414153982),
+    ("random --n 8 --m 60 --seed 1", "count", 18070539613519, 30, 150),
+    ("random --n 30 --m 60 --seed 1", "count", 938999, 30, 150),
+    ("random --n 64 --m 96 --seed 1", "count", 1409897, 30, 150),
+    ("random --n 12 --m 40 --seed 1", "count", 2282820, 30, 150),
+    ("random --n 10 --m 60 --seed 1", "count", 27955471054, 30, 150),
+    ("random --n 40 --m 70 --seed 1", "count", 6687, 30, 150),
+    ("random --n 6 --m 200 --seed 1", "count", 19095778546019295950626501327329528412511134482414153982, 30, 150),
     # Fails on a vertex order that scans every frontier candidate per pick, quadratic on the star.
-    ("star --k 100000", 100000),
-    ("cycle --k 100000", 9999900001),
+    ("star --k 100000", "count", 100000, 30, 150),
+    ("cycle --k 100000", "count", 9999900001, 30, 150),
     # The densest rows: n5/m400 peaks at 98% of EXACT_MAX_STATES, about 97 MB.
-    ("random --n 8 --m 80 --seed 1", 101271389798097456596),
-    (
-        "random --n 5 --m 400 --seed 1",
-        611630582275262663965364340917974253422067582116487474158580897944136468300221592365766857708148396954163243790247658,
-    ),
+    ("random --n 8 --m 80 --seed 1", "count", 101271389798097456596, 30, 150),
+    ("random --n 5 --m 400 --seed 1", "count", 611630582275262663965364340917974253422067582116487474158580897944136468300221592365766857708148396954163243790247658, 30, 150),
+    # Fails on a return to the quadratic greedy_eis scan: about 160 s at this size.
+    ("random --n 32000 --m 160000 --seed 1", "eis", "5a613973836a5cb3b004e1a03e370e1de64487046009e23519106022b7ad9b8d", 30, 150),
+    # Fails on a return to the unpacked estimator kernel, which sums every vertex
+    # imbalance of every sample before rejecting any: about 3.5 s against 0.25 s.
+    ("random --n 2000 --m 10000 --seed 1", "estimate --samples 20000 --seed 1", "6d1c3d268ac9b4a74b1525b9a3adbb0f8afdb139b49926fde9053c1c8ffa32de", 1.2, 150),
+    # The scans fail on a fresh math.comb per m: about 19 s against 1 s, and 3 s
+    # for JSON, which writes each d twice (peak RSS about 3.2x its 45 MB output).
+    (None, "scan --m-min 4 --m-max 14000 --format csv", "7308ad7eb002db231ce8190135aae2530f9d9a9f1a28f76c6913ff5d718f06b3", 10, 150),
+    (None, "scan --m-min 4 --m-max 14000 --format text", "9d5fa314d35431446d4a9dc4b05e388c2266aefc0fc9de4ede011bbabe74b3a5", 10, 150),
+    (None, "scan --m-min 4 --m-max 14000 --format json", "62667c16ac120a418719aed0345e17e053829cfbeea9b67b34629426dd25bba2", 10, 160),
+    # JSON fails when family_f is written under the interpreter's 4300-digit
+    # int/str limit, which d passes from m = 14 280; text runs its report at m.
+    (None, "bounds --m 16000", "f3ceab7edaa6dc8061b00e3e4517285300b95bb4f9005ed8c198fbfa64e56c31", 10, 150),
+    (None, "bounds --m 16000 --format text", "4ee092c7df0b13b3ccbb51aad09c3e13c42a94fc5a3eb9cf0f3c5535e115385d", 10, 150),
 ]
 
 
-def check_row(gen: str, want, workdir: str) -> bool:
-    """Whether counting ``trailfrac gen <gen>`` gives ``want``, or ``want(graph)``, within the bounds; prints why."""
-    cli, graph, out = [sys.executable, "-m", "trailfrac.cli"], os.path.join(workdir, "g.txt"), os.path.join(workdir, "d.json")
-    subprocess.run([*cli, "gen", *gen.split(), "--out", graph], check=True)
-    if callable(want):
-        with open(graph) as f:
-            want = want(parse_graph(f.read()))
+def _result(path: str, what: str):
+    """d from a count's JSON, otherwise the SHA-256 of the output, read in chunks."""
+    with open(path, "rb") as f:
+        if what == "d":
+            return json.load(f)["d"]
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+        return digest.hexdigest()
+
+
+def check_row(gen, cmd: str, want, seconds: float, max_mb: float, workdir: str) -> bool:
+    """Whether ``trailfrac <cmd>``, on ``trailfrac gen <gen>`` if any, gives ``want`` within the bounds; prints why."""
+    cli, graph, out = [sys.executable, "-m", "trailfrac.cli"], os.path.join(workdir, "g.txt"), os.path.join(workdir, "out")
+    name, *args = cmd.split()
+    what = "d" if name == "count" else "sha256"
+    if gen:
+        subprocess.run([*cli, "gen", *gen.split(), "--out", graph], check=True)
+        args.insert(0, graph)
     start = time.perf_counter()
-    # An alarm survives exec, so its SIGALRM ends the count at the timeout.
-    child = subprocess.Popen([*cli, "count", graph, "--out", out], preexec_fn=lambda: signal.alarm(TIMEOUT_S))
+    # A timer survives exec, so its SIGALRM ends the call at the bound.
+    child = subprocess.Popen([*cli, name, *args, "--out", out], preexec_fn=lambda: signal.setitimer(signal.ITIMER_REAL, seconds))
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
-    seconds, mb = time.perf_counter() - start, usage.ru_maxrss / 1024
+    wall, mb = time.perf_counter() - start, usage.ru_maxrss / 1024
     if child.returncode:
-        faults = [f"over {TIMEOUT_S} s" if child.returncode == -signal.SIGALRM else f"exit {child.returncode}"]
+        faults = [f"over {seconds} s" if child.returncode == -signal.SIGALRM else f"exit {child.returncode}"]
     else:
-        with open(out) as f:
-            d = json.load(f)["d"]
-        faults = [] if d == want else [f"d = {d!r}, recorded {want!r}"]
-    if mb >= MAX_RSS_MB:
-        faults.append(f"max RSS over {MAX_RSS_MB} MB")
-    print(f"{gen}: {', '.join(faults) or 'd ok'}, {seconds:.1f} s, {mb:.0f} MB", flush=True)
+        got = _result(out, what)
+        faults = [] if got == want else [f"{what} = {got!r}, recorded {want!r}"]
+    if mb >= max_mb:
+        faults.append(f"max RSS over {max_mb} MB")
+    label = f"{gen} -> {cmd}" if gen else cmd
+    print(f"{label}: {', '.join(faults) or what + ' ok'}, {wall:.1f} s, {mb:.0f} MB", flush=True)
     return not faults
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
-        sys.exit(0 if all([check_row(gen, want, workdir) for gen, want in ROWS]) else 1)
+        sys.exit(0 if all([check_row(*row, workdir) for row in ROWS]) else 1)
