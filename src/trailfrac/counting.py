@@ -228,27 +228,34 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
     """Decide the class of ``a`` edges u->v and ``b`` edges v->u for every live state.
 
     u and v hold slots ``pu`` and ``pv``; ``rest`` holds the out- and
-    in-edges of u and of v still undecided after this class. Slots new to the
-    states, up to ``max(pu, pv)``, enter every state untouched; all share one
-    width, as the untouched state always lives. The step frees the slots in
-    ``gone``, those of u and v left with none: their imbalance and label
-    become 0 (``_free``). A choice of i forward and j backward edges shifts
-    u's imbalance by k = i - j and v's by -k; by Vandermonde, C(a + b, b + k)
+    in-edges of u still undecided after this class and the edges decided at
+    u before it, then the same three for v. Slots new to the states, up to
+    ``max(pu, pv)``, enter every state untouched; all share one width, as
+    the untouched state always lives. The step frees the slots in ``gone``,
+    those of u and v left with none: their imbalance and label become 0
+    (``_free``). A choice of i forward and j backward edges shifts u's
+    imbalance by k = i - j and v's by -k; by Vandermonde, C(a + b, b + k)
     choices share each k, one fewer for k = 0, whose empty choice joins
-    nothing; a state with no feasible k makes none. Two untouched vertices
-    join as label -1, which no slot holds and ``_free`` renumbers. Returns the
-    new states and the number of trails that end here.
+    nothing; a state with no feasible k makes none. Only the weights of k in
+    [klo, khi] are built: u's imbalance sums +-1 over its ``du`` decided
+    edges, so |iu| <= du and |iv| <= dv, and that range, which holds 0,
+    holds every state's feasible k. Two untouched vertices join as label
+    -1, which no slot holds and ``_free`` renumbers. A finished trail goes
+    into the new states under the key ``()``, which the budget does not
+    count; returns the new states without it and the trails it gathered.
     """
-    ou, nu, ov, nv = rest
+    ou, nu, du, ov, nv, dv = rest
     ou0, nu0, ov0, nv0 = ou + a, nu + b, ov + b, nv + a
     su, sv = int(pu not in gone), int(pv not in gone)
-    weights = [1] * (a + b + 1)
-    for t in range(a + b):
-        weights[t + 1] = weights[t] * (a + b - t) // (t + 1)
-    weights[b] -= 1
+    klo = max(-b, -1 - ou - du, -1 - nv - dv)
+    khi = min(a, 1 + nu + du, 1 + ov + dv)
+    # weights[k - klo] = C(a + b, b + k).
+    weights = [math.comb(a + b, b + klo)]
+    for t in range(b + klo, b + khi):
+        weights.append(weights[-1] * (a + b - t) // (t + 1))
+    weights[-klo] -= 1
     merged: dict[tuple[int, ...], tuple] = {}
-    new: dict = {}
-    done = 0
+    new: dict = {(): 0}
     pad = (0,) * (max(pu, pv) + 1 - len(next(iter(states))[0]))
     for (imbs, labels, plus, minus), w in states.items():
         imbs, labels = imbs + pad, labels + pad
@@ -278,22 +285,17 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
             shifted[pu], shifted[pv] = ju * su, jv * sv
             imbs = tuple(shifted)
             if k == 0 and same:
-                if same is True:
-                    done += w
-                else:
-                    key = (imbs, same, p, q)
-                    new[key] = new.get(key, 0) + w
-            if weights[b + k] and nl:
-                if nl is True:
-                    done += w * weights[b + k]
-                else:
-                    key = (imbs, nl, p, q)
-                    new[key] = new.get(key, 0) + w * weights[b + k]
-        if len(new) > EXACT_MAX_STATES:
+                key = () if same is True else (imbs, same, p, q)
+                new[key] = new.get(key, 0) + w
+            if weights[k - klo] and nl:
+                key = () if nl is True else (imbs, nl, p, q)
+                new[key] = new.get(key, 0) + w * weights[k - klo]
+        if len(new) > EXACT_MAX_STATES + 1:
             raise ValueError(
-                f"exact count stopped at {len(new)} live frontier states, over the budget of "
+                f"exact count stopped at {len(new) - 1} live frontier states, over the budget of "
                 f"{EXACT_MAX_STATES}; estimate f(G) instead (trailfrac estimate)"
             )
+    done = new.pop(())
     return new, done
 
 
@@ -311,21 +313,26 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     the decided edges that reach it. A state is dropped once some imbalance
     cannot return to [-1, 1]. When a component loses its last frontier
     vertex, the subsets of that state that take no further edge are trails
-    exactly when no other frontier vertex is touched. Isolated vertices
-    never take a slot. The vertex order changes the run time, never d.
+    exactly when no other frontier vertex is touched; a step gathers them
+    under the key ``()`` of its new states and adds them to d. A step
+    builds the binomial weights only of the shifts its states can reach,
+    since an imbalance is at most its vertex's decided edges in size: three
+    for the two-vertex family, not m + 1. Isolated vertices never take a
+    slot. The vertex order changes the run time, never d.
 
     Raises ``ValueError`` when more than ``EXACT_MAX_STATES`` states are live.
     """
     pairs = Counter(g.edges)
     adj: dict[int, set[int]] = {}
-    # Undecided out- and in-edges of each vertex.
-    outs: Counter[int] = Counter()
-    ins: Counter[int] = Counter()
-    for (s, t), k in pairs.items():
+    for s, t in pairs:
         adj.setdefault(s, set()).add(t)
         adj.setdefault(t, set()).add(s)
+    # Undecided out- and in-edges of each vertex, and all its edges.
+    outs, ins = dict.fromkeys(adj, 0), dict.fromkeys(adj, 0)
+    for (s, t), k in pairs.items():
         outs[s] += k
         ins[t] += k
+    degree = {v: outs[v] + ins[v] for v in adj}
     # The slot of each frontier vertex, in the order the vertices took them.
     slot: dict[int, int] = {}
     free: list[int] = []
@@ -335,6 +342,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
         slot[x] = free.pop() if free else len(slot)
         for u in [u for u in slot if u in adj[x]]:
             a, b = pairs[u, x], pairs[x, u]
+            du, dx = degree[u] - outs[u] - ins[u], degree[x] - outs[x] - ins[x]
             outs[u] -= a
             ins[u] -= b
             outs[x] -= b
@@ -342,7 +350,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
             pu, px = slot[u], slot[x]
             gone = [slot.pop(v) for v in (u, x) if outs[v] == ins[v] == 0]
             free += gone
-            states, done = _take_class(states, pu, px, a, b, (outs[u], ins[u], outs[x], ins[x]), gone)
+            states, done = _take_class(states, pu, px, a, b, (outs[u], ins[u], du, outs[x], ins[x], dx), gone)
             d += done
     return CountReport(g.m, d)
 

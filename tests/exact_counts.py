@@ -26,6 +26,10 @@ import time
 ROWS = [
     # Fails on class weights summed over every (i, j) pair: about 55 s here.
     ("family --m 2000", "count", math.comb(2000, 1000) - 1 + 2 * math.comb(2000, 999), 30, 150),
+    # Fails on a class step that builds all m + 1 binomials of its row, although
+    # only the shifts -1, 0 and 1 can occur: 168 MB against 22 MB. d has 12 040
+    # digits.
+    ("family --m 40000", "count", math.comb(40000, 20000) - 1 + 2 * math.comb(40000, 19999), 30, 40),
     ("random --n 16 --m 40 --seed 1", "count", 28150, 30, 150),
     # d from tests/helpers.py:few_vertex_d, binomial sums alone, as well as from the DP.
     ("random --n 4 --m 1000 --seed 1", "count", 4378383008436659174884661679014970209475194817799213379641919710783980941815476153769554840747288474313970376587655656640397251401598631217960023349539993429451413265738966890219597568232628615143481559483783558661434436330424153425575417313577008958763443264427742816823231801199800178008419837456, 30, 150),
@@ -49,7 +53,10 @@ ROWS = [
     # imbalance of every sample before rejecting any: about 3.5 s against 0.25 s.
     ("random --n 2000 --m 10000 --seed 1", "estimate --samples 20000 --seed 1", "6d1c3d268ac9b4a74b1525b9a3adbb0f8afdb139b49926fde9053c1c8ffa32de", 1.2, 150),
     # The scans fail on a fresh math.comb per m: about 19 s against 1 s, and 3 s
-    # for JSON, which writes each d twice (peak RSS about 3.2x its 45 MB output).
+    # for JSON, which writes each d twice. JSON peaks at about 3.2x its 45 MB
+    # output: while cli._json joins the rows, the payload (32 MB, mostly its
+    # f_exact strings), the row strings str.join holds (46 MB) and the body are
+    # all live, so dropping the final + "\n" copy cannot lower the peak.
     (None, "scan --m-min 4 --m-max 14000 --format csv", "7308ad7eb002db231ce8190135aae2530f9d9a9f1a28f76c6913ff5d718f06b3", 10, 150),
     (None, "scan --m-min 4 --m-max 14000 --format text", "9d5fa314d35431446d4a9dc4b05e388c2266aefc0fc9de4ede011bbabe74b3a5", 10, 150),
     (None, "scan --m-min 4 --m-max 14000 --format json", "62667c16ac120a418719aed0345e17e053829cfbeea9b67b34629426dd25bba2", 10, 160),
@@ -98,5 +105,7 @@ def check_row(gen, cmd: str, want, seconds: float, max_mb: float, workdir: str) 
 
 
 if __name__ == "__main__":
+    # json.load reads d under the interpreter's 4300-digit int/str limit.
+    sys.set_int_max_str_digits(0)
     with tempfile.TemporaryDirectory() as workdir:
         sys.exit(0 if all([check_row(*row, workdir) for row in ROWS]) else 1)

@@ -304,6 +304,28 @@ class TestExactCount:
         with pytest.raises(ValueError, match=r"stopped at \d+ live frontier states.*estimate"):
             count_trails_exact(g)
 
+    # gen_family(4) is one class step, which leaves one live state beside the
+    # trails it finishes; those do not count against the budget.
+    def test_state_budget_counts_live_states(self, monkeypatch):
+        monkeypatch.setattr(trailfrac.counting, "EXACT_MAX_STATES", 1)
+        assert count_trails_exact(gen_family(4)).d == 13
+        monkeypatch.setattr(trailfrac.counting, "EXACT_MAX_STATES", 0)
+        with pytest.raises(ValueError, match=r"stopped at 1 live frontier states, over the budget of 0"):
+            count_trails_exact(gen_family(4))
+
+    # The family's one class can shift by -1, 0 or 1 only; building all m + 1
+    # binomials of its row peaks at about 155 MB under tracemalloc.
+    def test_family_builds_only_reachable_weights(self):
+        g = gen_family(40000)
+        tracemalloc.start()
+        try:
+            d = count_trails_exact(g).d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == count_family_closed_form(40000).total
+        assert peak < 10 * 2**20
+
 
 class TestConnectivity:
     @settings(max_examples=150, deadline=None)
