@@ -34,7 +34,6 @@ import heapq
 import math
 from collections import Counter
 from collections.abc import Callable
-from functools import reduce
 from itertools import chain
 
 from .graphs import Multigraph, Record, _check_ints
@@ -127,21 +126,18 @@ def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], 
             words[-1] &= spare
         nonzero = np.zeros(words.shape[1], dtype=np.int8)
         for entries in plan:
-            imb = reduce(
-                np.add,
-                (
-                    np.subtract(np.bitwise_count(words[w] & out), np.bitwise_count(words[w] & inn), dtype=imb_type)
-                    for w, out, inn in entries
-                ),
+            imb = sum(
+                np.subtract(np.bitwise_count(words[w] & out), np.bitwise_count(words[w] & inn), dtype=imb_type)
+                for w, out, inn in entries
             )
             nonzero += imb != 0
             keep = np.flatnonzero((np.abs(imb) <= 1) & (nonzero <= 2))
-            if keep.size < nonzero.size:
-                words = words.take(keep, axis=1)
-                nonzero = nonzero.take(keep)
+            words, nonzero = words.take(keep, axis=1), nonzero.take(keep)
+            # With thousands of vertices all columns can fail within a few; the rest of the plan costs seconds.
             if not keep.size:
                 return 0
         words = words.take(np.flatnonzero(words.any(axis=0)), axis=1)
+        # On three vertices every column left is a trail (see above); sweeps would add 50% on the family.
         if len(plan) <= 3:
             return words.shape[1]
         # Each column starts from the lowest set bit of its first nonzero word.
@@ -224,7 +220,9 @@ def _free(labels: list[int] | tuple[int, ...], gone: list[int]) -> tuple[int, ..
     return len(ended) == 1 and not any(kept) if ended else tuple([seen.setdefault(x, len(seen)) for x in kept])
 
 
-def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int, ...], gone: list[int]) -> tuple[dict, int]:
+def _take_class(
+    states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int, ...], gone: list[int], fates: dict
+) -> tuple[dict, int]:
     """Decide the class of ``a`` edges u->v and ``b`` edges v->u for every live state.
 
     u and v hold slots ``pu`` and ``pv``; ``rest`` holds the out- and
@@ -240,9 +238,12 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
     [klo, khi] are built: u's imbalance sums +-1 over its ``du`` decided
     edges, so |iu| <= du and |iv| <= dv, and that range, which holds 0,
     holds every state's feasible k. Two untouched vertices join as label
-    -1, which no slot holds and ``_free`` renumbers. A finished trail goes
-    into the new states under the key ``()``, which the budget does not
-    count; returns the new states without it and the trails it gathered.
+    -1, which no slot holds and ``_free`` renumbers. A label tuple's fate,
+    its freed labels without and with the class's edges, depends only on the
+    labels, ``pu``, ``pv`` and ``gone``, so ``fates`` keeps the fates under
+    ``(pu, pv, *gone)`` for the whole count. A finished trail goes into the
+    new states under the key ``()``, which the budget does not count;
+    returns the new states without it and the trails it gathered.
     """
     ou, nu, du, ov, nv, dv = rest
     ou0, nu0, ov0, nv0 = ou + a, nu + b, ov + b, nv + a
@@ -254,7 +255,7 @@ def _take_class(states: dict, pu: int, pv: int, a: int, b: int, rest: tuple[int,
     for t in range(b + klo, b + khi):
         weights.append(weights[-1] * (a + b - t) // (t + 1))
     weights[-klo] -= 1
-    merged: dict[tuple[int, ...], tuple] = {}
+    merged = fates.setdefault((pu, pv, *gone), {})
     new: dict = {(): 0}
     pad = (0,) * (max(pu, pv) + 1 - len(next(iter(states))[0]))
     for (imbs, labels, plus, minus), w in states.items():
@@ -317,8 +318,11 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     under the key ``()`` of its new states and adds them to d. A step
     builds the binomial weights only of the shifts its states can reach,
     since an imbalance is at most its vertex's decided edges in size: three
-    for the two-vertex family, not m + 1. Isolated vertices never take a
-    slot. The vertex order changes the run time, never d.
+    for the two-vertex family, not m + 1. The label fates that a step
+    works out are kept for the whole count, since sparse graphs meet the
+    same few label tuples at the same slots step after step. Isolated
+    vertices never take a slot. The vertex order changes the run time,
+    never d.
 
     Raises ``ValueError`` when more than ``EXACT_MAX_STATES`` states are live.
     """
@@ -337,6 +341,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     slot: dict[int, int] = {}
     free: list[int] = []
     states: dict = {((), (), 0, 0): 1}
+    fates: dict = {}
     d = 0
     for x in _frontier_order(adj):
         slot[x] = free.pop() if free else len(slot)
@@ -350,7 +355,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
             pu, px = slot[u], slot[x]
             gone = [slot.pop(v) for v in (u, x) if outs[v] == ins[v] == 0]
             free += gone
-            states, done = _take_class(states, pu, px, a, b, (outs[u], ins[u], du, outs[x], ins[x], dx), gone)
+            states, done = _take_class(states, pu, px, a, b, (outs[u], ins[u], du, outs[x], ins[x], dx), gone, fates)
             d += done
     return CountReport(g.m, d)
 

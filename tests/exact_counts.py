@@ -42,6 +42,8 @@ ROWS = [
     ("random --n 40 --m 70 --seed 1", "count", 6687, 30, 150),
     ("random --n 6 --m 200 --seed 1", "count", 19095778546019295950626501327329528412511134482414153982, 30, 150),
     # Fails on a vertex order that scans every frontier candidate per pick, quadratic on the star.
+    # About 1.3 s and 2.1 s with label fates decided once per count; 1.9 s
+    # and 3.7 s when each class step decides its own.
     ("star --k 100000", "count", 100000, 30, 150),
     ("cycle --k 100000", "count", 9999900001, 30, 150),
     # The densest rows: n5/m400 peaks at 98% of EXACT_MAX_STATES, about 97 MB.
@@ -51,6 +53,9 @@ ROWS = [
     ("random --n 32000 --m 160000 --seed 1", "eis", "5a613973836a5cb3b004e1a03e370e1de64487046009e23519106022b7ad9b8d", 30, 150),
     # Fails on a return to the unpacked estimator kernel, which sums every vertex
     # imbalance of every sample before rejecting any: about 3.5 s against 0.25 s.
+    # Also guards the kernel's return once every column is rejected, which
+    # here comes after about six of its 2 000 vertices: about 2 s in process
+    # without it, against 0.06 s.
     ("random --n 2000 --m 10000 --seed 1", "estimate --samples 20000 --seed 1", "6d1c3d268ac9b4a74b1525b9a3adbb0f8afdb139b49926fde9053c1c8ffa32de", 1.2, 150),
     # The scans fail on a fresh math.comb per m: about 19 s against 1 s, and 3 s
     # for JSON, which writes each d twice. JSON peaks at about 3.2x its 45 MB

@@ -297,6 +297,22 @@ class TestExactCount:
         count_trails_exact(gen_random_multigraph(n, 40, 1))
         assert seen == {"peak": peak, "in": states_in}
 
+    # A label fate depends only on the labels, the two slots and the freed
+    # ones, so it is decided once per count: the cycle's 3 000 class steps
+    # repeat a few label tuples at a few slots. Fates kept for one step only
+    # cost 29 984 calls here.
+    def test_label_fates_decided_once_per_count(self, monkeypatch):
+        free = trailfrac.counting._free
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return free(*args)
+
+        monkeypatch.setattr(trailfrac.counting, "_free", counted)
+        assert count_trails_exact(gen_cycle(3000)).d == 8_997_001
+        assert calls[0] < 100
+
     def test_state_budget(self, monkeypatch):
         g = gen_random_multigraph(8, 40, seed=2)
         assert count_trails_exact(g).m == 40
