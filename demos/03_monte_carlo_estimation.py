@@ -3,7 +3,8 @@
 Each sample includes every edge independently with probability 1/2, so the hit
 rate is an unbiased estimate of f(G). Sample bits come from a counter-based
 generator keyed by (seed, sample index): reruns and any parallel schedule give
-bit-identical results.
+bit-identical results. Estimation needs numpy 2.0 or later, the ``estimate``
+extra: pip install 'trailfrac[estimate]'.
 """
 
 from trailfrac import count_trails_exact, estimate_trail_fraction, gen_family

@@ -2,7 +2,8 @@
 
 Single reports default to JSON; ``scan`` defaults to CSV. ``--format text``
 switches to a human-readable rendering everywhere. Domain errors exit with
-status 1 and a diagnostic on stderr; usage errors exit with status 2.
+status 1 and a diagnostic on stderr, as does ``estimate`` without numpy
+2.0, its install extra; usage errors exit with status 2.
 
 Each handler imports the modules it calls, so a command loads only its own
 part of the package: ``count`` loads ``graphs`` and ``counting``, never
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.write(output)
             return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

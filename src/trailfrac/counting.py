@@ -25,7 +25,10 @@ popcount balance filter visits the vertices from the highest degree down and
 drops each column at its first vertex whose imbalance rules out a trail, and
 the few columns left get a bitset connectivity test. numpy is imported
 inside these functions, and ``statistics`` inside ``wilson_interval``, so
-an exact count loads neither.
+an exact count loads neither. numpy 2.0 or later, the package's only
+dependency, comes with the install extra ``trailfrac[estimate]``; without
+it, estimation checks its arguments and then raises one ``ImportError``
+that names the extra.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from .graphs import Multigraph, Record, _check_ints
 
 # Live frontier states allowed after any step of the exact count. The densest
 # graph tried, gen_random_multigraph(5, 400, 1), peaks at 195 144 states, 98%
-# of the budget, and takes 10.9-11.8 s and 97 MB max RSS as `trailfrac count`;
-# gen_random_multigraph(16, 40, 1) peaks at 1.0e3 states in 0.04-0.05 s
-# (2-vCPU Xeon VM, Python 3.11).
+# of the budget, and takes a median 5.6 s of CPU (7 runs) and 97 MB max RSS
+# as `trailfrac count`; gen_random_multigraph(16, 40, 1) peaks at 1.0e3 states
+# and takes 0.08-0.09 s of wall time and 16 MB (2-vCPU Xeon VM, Python 3.11).
 EXACT_MAX_STATES = 200_000
 
 # Bytes of packed Philox words per estimator block.
@@ -241,7 +244,7 @@ def _take_class(
     -1, which no slot holds and ``_free`` renumbers. A label tuple's fate,
     its freed labels without and with the class's edges, depends only on the
     labels, ``pu``, ``pv`` and ``gone``, so ``fates`` keeps the fates under
-    ``(pu, pv, *gone)`` for the whole count. A finished trail goes into the
+    ``(pu, pv, *gone)`` across steps. A finished trail goes into the
     new states under the key ``()``, which the budget does not count;
     returns the new states without it and the trails it gathered.
     """
@@ -319,8 +322,9 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     builds the binomial weights only of the shifts its states can reach,
     since an imbalance is at most its vertex's decided edges in size: three
     for the two-vertex family, not m + 1. The label fates that a step
-    works out are kept for the whole count, since sparse graphs meet the
-    same few label tuples at the same slots step after step. Isolated
+    works out are kept for later steps, since sparse graphs meet the same
+    few label tuples at the same slots step after step; once they number
+    more than twice the live states, they are dropped. Isolated
     vertices never take a slot. The vertex order changes the run time,
     never d.
 
@@ -357,6 +361,10 @@ def count_trails_exact(g: Multigraph) -> CountReport:
             free += gone
             states, done = _take_class(states, pu, px, a, b, (outs[u], ins[u], du, outs[x], ins[x], dx), gone, fates)
             d += done
+            # Random graphs rarely meet a label tuple again, so a table that
+            # outgrows the live states mostly holds fates no step will read.
+            if sum(map(len, fates.values())) > 2 * len(states):
+                fates.clear()
     return CountReport(g.m, d)
 
 
@@ -430,6 +438,10 @@ def estimate_trail_fraction(
     Each sampled subset includes every edge independently with probability 1/2;
     the estimate is the fraction of sampled subsets that are trails. Results
     are bit-identical for a fixed (seed, samples) pair; seeds lie in [0, 2^64).
+
+    Raises ``ValueError`` for a bad ``samples``, ``seed`` or ``confidence``,
+    checked first, and then ``ImportError`` if numpy 2.0 or later, the
+    ``estimate`` extra, cannot be imported.
     """
     samples, seed = _check_ints(samples=samples, seed=seed)
     if samples < 1:
@@ -437,7 +449,12 @@ def estimate_trail_fraction(
     confidence = _check_confidence(confidence)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    import numpy as np
+    try:
+        import numpy as np
+        # numpy 1.x imports, but lacks the popcount that _trail_kernel calls.
+        from numpy import bitwise_count  # noqa: F401
+    except ImportError:
+        raise ImportError("estimation needs numpy 2.0 or later: pip install 'trailfrac[estimate]'") from None
 
     m = g.m
     words = max(1, -(-m // 64))

@@ -787,7 +787,7 @@ class TestImports:
 
     def test_commands_load_no_unused_module(self, tmp_path, family4_file):
         # -S keeps site, and any .pth file it runs, from loading a module first.
-        # estimate is left out: numpy cannot be imported under -S.
+        # estimate is left out: numpy cannot be imported under -S (see below).
         calls = [
             ["count", family4_file],
             ["check", family4_file, "--subset", "0,2", "--witness"],
@@ -801,6 +801,24 @@ class TestImports:
             added = set(self.added_modules(code, "-S"))
             assert not self.UNUSED & added, argv
 
+    # Under -S numpy cannot be imported, as in an install without the estimate
+    # extra. A stub numpy with no bitwise_count stands for numpy 1.x, which
+    # imports but would fail inside the kernel. Bad arguments are reported first.
+    @pytest.mark.parametrize("stub", [False, True])
+    def test_estimate_without_numpy(self, tmp_path, family4_file, stub):
+        env = src_env()
+        if stub:
+            (tmp_path / "numpy").mkdir()
+            (tmp_path / "numpy" / "__init__.py").write_text("open(__file__ + '.imported', 'w').close()\n")
+            env["PYTHONPATH"] += os.pathsep + str(tmp_path)
+        for samples, error in [
+            ("100", b"error: estimation needs numpy 2.0 or later: pip install 'trailfrac[estimate]'\n"),
+            ("0", b"error: samples must be positive\n"),
+        ]:
+            argv = ["estimate", family4_file, "--samples", samples, "--seed", "1"]
+            assert call_child(argv, "-S", env=env) == (1, b"", error)
+        assert (tmp_path / "numpy" / "__init__.py.imported").exists() is stub
+
 
 def call_main(capsys, argv) -> tuple[int, bytes, bytes]:
     """``main(argv)`` in process: exit code, stdout and stderr, with a usage error's SystemExit as its code."""
@@ -812,9 +830,9 @@ def call_main(capsys, argv) -> tuple[int, bytes, bytes]:
     return code, captured.out.encode(), captured.err.encode()
 
 
-def call_child(argv) -> tuple[int, bytes, bytes]:
-    """``python -m trailfrac.cli argv`` in a child: exit code, stdout and stderr."""
-    child = subprocess.run([sys.executable, "-m", "trailfrac.cli", *argv], env=src_env(), capture_output=True)
+def call_child(argv, *flags: str, env=None) -> tuple[int, bytes, bytes]:
+    """``python flags -m trailfrac.cli argv`` in a child, in ``env`` or ``src_env()``: exit code, stdout and stderr."""
+    child = subprocess.run([sys.executable, *flags, "-m", "trailfrac.cli", *argv], env=env or src_env(), capture_output=True)
     return child.returncode, child.stdout, child.stderr
 
 

@@ -313,6 +313,22 @@ class TestExactCount:
         assert count_trails_exact(gen_cycle(3000)).d == 8_997_001
         assert calls[0] < 100
 
+    # Random graphs rarely meet a label tuple again, so fates kept for the
+    # whole count pile up: 800 and 760 times the live states on these two.
+    @pytest.mark.parametrize("n,m", [(40, 60), (32, 56)])
+    def test_label_fates_stay_within_twice_the_live_states(self, monkeypatch, n, m):
+        take_class = trailfrac.counting._take_class
+        worst = [0.0]
+
+        def counted(states, *args):
+            fates = args[-1]
+            worst[0] = max(worst[0], sum(map(len, fates.values())) / len(states))
+            return take_class(states, *args)
+
+        monkeypatch.setattr(trailfrac.counting, "_take_class", counted)
+        count_trails_exact(gen_random_multigraph(n, m, 1))
+        assert 0 < worst[0] <= 2
+
     def test_state_budget(self, monkeypatch):
         g = gen_random_multigraph(8, 40, seed=2)
         assert count_trails_exact(g).m == 40
