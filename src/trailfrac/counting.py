@@ -25,8 +25,8 @@ popcount balance filter visits the vertices from the highest degree down and
 drops each column at its first vertex whose imbalance rules out a trail, and
 the few columns left get a bitset connectivity test. numpy is imported
 inside these functions, and ``statistics`` inside ``wilson_interval``, so
-an exact count loads neither. numpy 2.0 or later, the package's only
-dependency, comes with the install extra ``trailfrac[estimate]``; without
+an exact count loads neither. numpy 2.0 or later is not a dependency of
+the package but its optional install extra ``trailfrac[estimate]``; without
 it, estimation checks its arguments and then raises one ``ImportError``
 that names the extra.
 """
@@ -335,6 +335,8 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     for s, t in pairs:
         adj.setdefault(s, set()).add(t)
         adj.setdefault(t, set()).add(s)
+    # On long sparse graphs the ordering sets the memory peak, so the tables below come after it.
+    order = _frontier_order(adj)
     # Undecided out- and in-edges of each vertex, and all its edges.
     outs, ins = dict.fromkeys(adj, 0), dict.fromkeys(adj, 0)
     for (s, t), k in pairs.items():
@@ -347,7 +349,7 @@ def count_trails_exact(g: Multigraph) -> CountReport:
     states: dict = {((), (), 0, 0): 1}
     fates: dict = {}
     d = 0
-    for x in _frontier_order(adj):
+    for x in order:
         slot[x] = free.pop() if free else len(slot)
         for u in [u for u in slot if u in adj[x]]:
             a, b = pairs[u, x], pairs[x, u]

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+import trailfrac
 from trailfrac import Multigraph, counting, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
 from trailfrac.graphs import GraphFormatError
 
@@ -240,6 +243,12 @@ def reference_frontier_order(adj: dict[int, set[int]]) -> list[int]:
         placed.add(v)
         order.append(v)
     return order
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for child interpreters."""
+    src = str(Path(trailfrac.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @contextmanager

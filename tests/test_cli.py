@@ -28,7 +28,7 @@ from trailfrac import (
 from trailfrac import cli
 from trailfrac.cli import main
 
-from helpers import int_digit_limit, two_disjoint_two_cycles
+from helpers import int_digit_limit, src_env, two_disjoint_two_cycles
 
 # sha256 of the output of `trailfrac bounds --m 1024` (JSON).
 GOLDEN_BOUNDS_M1024_SHA256 = "d2bab7b24c5b889ff0f97071e86024abcf077d2283ee319a64c1a2f8651dc54c"
@@ -61,12 +61,6 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def src_env() -> dict[str, str]:
-    """The environment with this checkout's ``src`` first on PYTHONPATH, for child interpreters."""
-    src = str(Path(trailfrac.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run_at_default_digit_limit(capsys, argv):

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import re
 import subprocess
@@ -7,7 +6,6 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -38,6 +36,7 @@ from helpers import (
     pack_columns,
     reference_frontier_order,
     small_corpus,
+    src_env,
     two_disjoint_two_cycles,
 )
 
@@ -371,7 +370,8 @@ class TestConnectivity:
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_blocks())
     def test_columns_match_networkx(self, case):
-        nx = pytest.importorskip("networkx")
+        import networkx as nx
+
         g, bits = case
         count_trails = _trail_kernel(g.edges)
         words = pack_columns(bits)
@@ -647,29 +647,28 @@ class TestEstimate:
 
 
 class TestWilson:
-    def test_against_statsmodels(self):
-        proportion = pytest.importorskip("statsmodels.stats.proportion")
-        for successes, samples, conf in [(0, 10, 0.95), (10, 10, 0.95), (7, 13, 0.9), (500, 1000, 0.99)]:
-            lo, hi = wilson_interval(successes, samples, conf)
-            ref_lo, ref_hi = proportion.proportion_confint(
-                successes, samples, alpha=1 - conf, method="wilson"
-            )
-            assert lo == pytest.approx(ref_lo, abs=1e-12)
-            assert hi == pytest.approx(ref_hi, abs=1e-12)
-
-    def test_against_scipy_norm_ppf(self):
-        norm = pytest.importorskip("scipy.stats").norm
-        for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-6, 1 - 1e-9):
-            z = float(norm.ppf((1 + confidence) / 2))
-            for samples in (1, 2, 13, 1000, 400_000):
-                for successes in sorted({0, 1, samples // 3, samples // 2, samples - 1, samples}):
-                    n, p = samples, successes / samples
-                    denom = 1 + z * z / n
-                    center = (p + z * z / (2 * n)) / denom
-                    half = (z / denom) * (p * (1 - p) / n + z * z / (4 * n * n)) ** 0.5
-                    lo, hi = wilson_interval(successes, samples, confidence)
-                    assert lo == pytest.approx(max(0.0, center - half), abs=1e-12)
-                    assert hi == pytest.approx(min(1.0, center + half), abs=1e-12)
+    # z is scipy 1.17.1's norm.ppf((1 + confidence) / 2), recorded, so the
+    # quantile that wilson_interval takes from statistics.NormalDist meets an
+    # outside source wherever the tests run, scipy installed or not.
+    @pytest.mark.parametrize(
+        "confidence, z",
+        [
+            (0.5, 0.6744897501960817), (0.8, 1.2815515655446004), (0.9, 1.6448536269514722), (0.95, 1.959963984540054),
+            (0.99, 2.5758293035489004), (0.999, 3.2905267314919255), (1e-6, 1.2533141372127224e-06), (1 - 1e-9, 6.1094101916632875),
+        ],
+    )
+    def test_against_recorded_normal_quantiles(self, confidence, z):
+        cases = {(0, 10), (10, 10), (7, 13), (500, 1000)}
+        for samples in (1, 2, 13, 1000, 400_000):
+            cases |= {(s, samples) for s in (0, 1, samples // 3, samples // 2, samples - 1, samples)}
+        for successes, n in sorted(cases):
+            p = successes / n
+            denom = 1 + z * z / n
+            center = (p + z * z / (2 * n)) / denom
+            half = (z / denom) * (p * (1 - p) / n + z * z / (4 * n * n)) ** 0.5
+            lo, hi = wilson_interval(successes, n, confidence)
+            assert lo == pytest.approx(max(0.0, center - half), abs=1e-12)
+            assert hi == pytest.approx(min(1.0, center + half), abs=1e-12)
 
     # 1 - 2**-52 is the largest confidence accepted.
     @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 2**-52])
@@ -685,10 +684,8 @@ class TestWilson:
                 assert (hi - p) / math.sqrt(hi * (1 - hi) / n) == pytest.approx(z, rel=1e-8)
 
     def test_import_leaves_scipy_unloaded(self):
-        src = str(Path(trailfrac.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = "import sys, trailfrac; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])

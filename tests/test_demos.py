@@ -1,12 +1,13 @@
 """Each demo runs to completion and prints the same bytes as when its golden was recorded."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,9 +27,7 @@ def test_every_demo_has_a_golden():
 
 @pytest.mark.parametrize("demo", sorted(GOLDEN_STDOUT_SHA256))
 def test_demo_stdout_golden(demo):
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, timeout=60, check=True
+        [sys.executable, str(ROOT / "demos" / demo)], env=src_env(), capture_output=True, timeout=60, check=True
     ).stdout
     assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT_SHA256[demo]

@@ -384,7 +384,8 @@ class TestLongWalk:
 def euler_reason(g: Multigraph, subset) -> FailureReason | None:
     """The verdict by the Euler characterization, from networkx connectivity
     and the balance rule: None for a trail, else the failure reason."""
-    nx = pytest.importorskip("networkx")
+    import networkx as nx
+
     edges = [g.edges[j] for j in subset]
     if not edges:
         return FailureReason.EMPTY_SUBSET
@@ -459,7 +460,8 @@ class TestWalkDecidedReasons:
 
     def test_each_component_alone_is_a_trail(self):
         # The same components, decided one at a time, are trails: only their union fails.
-        nx = pytest.importorskip("networkx")
+        import networkx as nx
+
         for name in ("two-disjoint-cycles", "long-cycle-plus-edge", "small-cycle-plus-path"):
             edges = self.CASES[name]
             g = Multigraph(1 + max(map(max, edges)), tuple(edges))
