@@ -5,16 +5,16 @@ its recorded result, and its bounds in seconds of wall time and MB of the
 child's own max RSS (Linux). ``count`` must give the recorded d; any other
 command must write output whose SHA-256 is the recorded one. Each call runs
 as ``python -m trailfrac.cli`` in a child process, so it runs with the
-collector off, as from the entrypoint. The checker loads only the standard
-library and hashes in chunks, since a child's max RSS counts the parent's
-resident size at fork. Prints one line per row and exits 1 if any fails;
-about 35 s on a 2-vCPU VM, run from the repository root:
+collector off, as from the entrypoint. Both children of a row, ``gen`` and
+the command, run under ``python -S`` unless the command is ``estimate``, the
+only one that needs numpy: ``-S`` keeps site-packages, numpy among them, off
+the path, so every other row runs as in an install without the ``estimate``
+extra, while PYTHONPATH still reaches the package. The checker loads only
+the standard library and hashes in chunks, since a child's max RSS counts
+the parent's resident size at fork. Prints one line per row and exits 1 if
+any fails; about 35 s on a 2-vCPU VM, run from the repository root:
 
     PYTHONPATH=src python tests/exact_counts.py
-
-``--numpy`` runs only the ``estimate`` rows, the only ones that need numpy,
-and ``--no-numpy`` only the others, so that the two halves can run in two
-environments; the last line says how many rows ran.
 """
 
 import hashlib
@@ -92,8 +92,9 @@ def _result(path: str, what: str):
 
 def check_row(gen, cmd: str, want, seconds: float, max_mb: float, workdir: str) -> bool:
     """Whether ``trailfrac <cmd>``, on ``trailfrac gen <gen>`` if any, gives ``want`` within the bounds; prints why."""
-    cli, graph, out = [sys.executable, "-m", "trailfrac.cli"], os.path.join(workdir, "g.txt"), os.path.join(workdir, "out")
+    graph, out = os.path.join(workdir, "g.txt"), os.path.join(workdir, "out")
     name, *args = cmd.split()
+    cli = [sys.executable, *([] if name == "estimate" else ["-S"]), "-m", "trailfrac.cli"]
     what = "d" if name == "count" else "sha256"
     if gen:
         subprocess.run([*cli, "gen", *gen.split(), "--out", graph], check=True)
@@ -117,14 +118,8 @@ def check_row(gen, cmd: str, want, seconds: float, max_mb: float, workdir: str) 
 
 
 if __name__ == "__main__":
-    with_numpy = [row for row in ROWS if row[1].startswith("estimate ")]
-    picks = {(): ROWS, ("--numpy",): with_numpy, ("--no-numpy",): [row for row in ROWS if row not in with_numpy]}
-    rows = picks.get(tuple(sys.argv[1:]))
-    if rows is None:
-        sys.exit("usage: exact_counts.py [--numpy | --no-numpy]")
     # json.load reads d under the interpreter's 4300-digit int/str limit.
     sys.set_int_max_str_digits(0)
     with tempfile.TemporaryDirectory() as workdir:
-        ok = all([check_row(*row, workdir) for row in rows])
-    print(f"{len(rows)} of {len(ROWS)} rows run")
+        ok = all([check_row(*row, workdir) for row in ROWS])
     sys.exit(0 if ok else 1)

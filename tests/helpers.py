@@ -344,16 +344,6 @@ def reference_hierholzer(g: Multigraph, indices) -> tuple[int, ...]:
     return tuple(reversed(reversed_trail))
 
 
-def reference_incident_edges(g: Multigraph, vertices) -> int:
-    """Mask of the edges with an endpoint in ``vertices``, grown one bit at a time."""
-    vs = set(vertices)
-    mask = 0
-    for i, (s, t) in enumerate(g.edges):
-        if s in vs or t in vs:
-            mask |= 1 << i
-    return mask
-
-
 def mask_members(mask: int) -> list[int]:
     """The edge indices of a subset mask, ascending: bit ``i`` set means edge ``i`` is a member."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
