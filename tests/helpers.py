@@ -22,7 +22,8 @@ import numpy as np
 
 import trailfrac
 from trailfrac import Multigraph, counting, gen_cycle, gen_family, gen_path, gen_random_multigraph, gen_star
-from trailfrac.graphs import GraphFormatError
+from trailfrac.eis import EisSequence
+from trailfrac.graphs import GraphFormatError, _check_vertices
 
 
 def perm_oracle(g: Multigraph, indices) -> bool:
@@ -218,6 +219,32 @@ def reference_greedy_eis(g: Multigraph) -> tuple[tuple[int, ...], tuple[int, ...
                 removed += 1
         eliminated.append(removed)
     return tuple(vertices), tuple(fresh_edges), tuple(eliminated)
+
+
+def reference_verify_eis(g: Multigraph, seq) -> bool:
+    """Edge-increasing check by per-vertex edge-id sets and a growing prefix set.
+
+    The original of ``trailfrac.eis.verify_eis``: each listed vertex gets the
+    set of its incident edge ids, and a vertex after the first passes when its
+    set is not contained in the union of the sets before it. Sequences with
+    repeated vertices fail.
+    """
+    vertices = seq.vertices if isinstance(seq, EisSequence) else tuple(seq)
+    _check_vertices(vertices, g.vertex_count)
+    if len(set(vertices)) != len(vertices):
+        return False
+    incident: dict[int, set[int]] = {v: set() for v in vertices}
+    for i, (s, t) in enumerate(g.edges):
+        if s in incident:
+            incident[s].add(i)
+        if t in incident:
+            incident[t].add(i)
+    prefix: set[int] = set()
+    for i, v in enumerate(vertices):
+        if i > 0 and incident[v] <= prefix:
+            return False
+        prefix |= incident[v]
+    return True
 
 
 def reference_frontier_order(adj: dict[int, set[int]]) -> list[int]:

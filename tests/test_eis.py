@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from trailfrac import (
     verify_eis,
 )
 
-from helpers import reference_greedy_eis, small_corpus
+from helpers import reference_greedy_eis, reference_verify_eis, small_corpus
 
 # sha256 of repr((vertices, fresh_edges, eliminated_per_step)) of greedy_eis on
 # gen_random_multigraph(8000, 40_000, seed), recorded with the linear-scan
@@ -186,6 +187,39 @@ class TestVerify:
         assert verify_eis(gen_star(4), [1, 2, 3, 4])
         assert verify_eis(gen_path(3), [0, 2])
         assert verify_eis(gen_path(5), [0, 2, 4])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_prefix_sets(self, data):
+        # Any vertices in any order, with or without repeats, isolated and
+        # unlisted ones included; then the greedy order, which passes, with one
+        # vertex put in anywhere, which may break it.
+        g = data.draw(multigraphs_with_ties())
+        vertex = st.integers(0, g.vertex_count - 1)
+        seq = data.draw(st.lists(vertex, max_size=2 * g.vertex_count, unique=data.draw(st.booleans())))
+        assert verify_eis(g, seq) == reference_verify_eis(g, seq)
+        seq = list(greedy_eis(g).vertices)
+        seq.insert(data.draw(st.integers(0, len(seq))), data.draw(vertex))
+        assert verify_eis(g, seq) == reference_verify_eis(g, seq)
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_EIS_SHA256))
+    def test_golden_graphs(self, seed):
+        g = gen_random_multigraph(8000, 40_000, seed=seed)
+        greedy = greedy_eis(g).vertices
+        seqs = greedy, greedy[::-1]
+        assert [verify_eis(g, seq) for seq in seqs] == [reference_verify_eis(g, seq) for seq in seqs] == [True, False]
+
+    def test_memory_bounded_in_edges(self):
+        # Every edge touches the one listed vertex, so a set of its edge ids alone would pass 1 MB.
+        g = gen_family(10**5)
+        seq = greedy_eis(g)
+        tracemalloc.start()
+        try:
+            verify_eis(g, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLengthGuarantee:
