@@ -1,10 +1,10 @@
 """Monte Carlo estimation of the trail fraction with Wilson score intervals.
 
 Each sample includes every edge independently with probability 1/2, so the hit
-rate is an unbiased estimate of f(G). Sample bits come from a counter-based
-generator keyed by (seed, sample index): reruns and any parallel schedule give
-bit-identical results. Estimation needs numpy 2.0 or later, the ``estimate``
-extra: pip install 'trailfrac[estimate]'.
+rate is an unbiased estimate of f(G). Sample bits come from Philox4x64-10, a
+counter-based generator keyed by the seed whose counter follows the sample
+index: reruns and any parallel schedule give bit-identical results. Like the
+rest of the package, estimation runs on the standard library alone.
 """
 
 from trailfrac import count_trails_exact, estimate_trail_fraction, gen_family

@@ -2,13 +2,13 @@
 
 Single reports default to JSON; ``scan`` defaults to CSV. ``--format text``
 switches to a human-readable rendering everywhere. Domain errors exit with
-status 1 and a diagnostic on stderr, as does ``estimate`` without numpy
-2.0, its install extra; usage errors exit with status 2.
+status 1 and a diagnostic on stderr; usage errors exit with status 2.
 
 Each handler imports the modules it calls, so a command loads only its own
 part of the package: ``count`` loads ``graphs`` and ``counting``, never
-``trails``, ``eis``, ``bounds``, numpy, ``fractions`` or ``decimal``. The
-library returns values, and ``cli`` alone writes them and times ``count``.
+``trails``, ``eis``, ``bounds``, ``fractions`` or ``decimal``, and every
+command runs on the standard library alone. The library returns values,
+and ``cli`` alone writes them and times ``count``.
 Each handler writes its text report straight from the library's value; only
 JSON and CSV go through one payload dict. Each exact fraction is written as
 ``f"{d}/{1 << m}"``, and only by a format that prints it: text leaves out
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.write(output)
             return 0
-    except (ValueError, OSError, ImportError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -333,9 +333,9 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     # Safe because a command's cyclic garbage is a fixed 496 objects whatever
     # its input, and the OS frees the rest at exit. Freezing every object
-    # skips the final collection over the loaded modules, numpy's above all,
-    # on a return, a SystemExit or an uncaught exception; atexit handlers and
-    # the flush of stdout and stderr still run. main leaves the collector alone.
+    # skips the final collection over the loaded modules on a return, a
+    # SystemExit or an uncaught exception; atexit handlers and the flush of
+    # stdout and stderr still run. main leaves the collector alone.
     gc.disable()
     try:
         sys.exit(main())

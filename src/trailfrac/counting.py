@@ -16,19 +16,18 @@ path; the report holds m and d, and loads ``fractions`` only when its
 ``f``, d / 2^m, is read.
 
 ``estimate_trail_fraction`` draws subsets from m independent fair bits per
-sample. Sample ``i`` takes the ``ceil(m/64)`` Philox words at positions
-``i*ceil(m/64)`` onward of the stream keyed by the seed, least significant
-word first, so estimates are reproducible for a fixed ``(seed, samples)``.
-The words are drawn one block of about ``_BLOCK_CELLS`` bytes at a time and
-decided as drawn, one column of words per sample, by ``_trail_kernel``: a
-popcount balance filter visits the vertices from the highest degree down and
-drops each column at its first vertex whose imbalance rules out a trail, and
-the few columns left get a bitset connectivity test. numpy is imported
-inside these functions, and ``statistics`` inside ``wilson_interval``, so
-an exact count loads neither. numpy 2.0 or later is not a dependency of
-the package but its optional install extra ``trailfrac[estimate]``; without
-it, estimation checks its arguments and then raises one ``ImportError``
-that names the extra.
+sample. Sample ``i`` takes the ``ceil(m/64)`` words at positions
+``i*ceil(m/64)`` onward of the Philox4x64-10 stream keyed by the seed, the
+words of NumPy's ``Philox(key=seed).random_raw``, least significant word
+first, so estimates are reproducible for a fixed ``(seed, samples)``.
+``_philox`` draws the words of one block of about ``_BLOCK_WORDS`` words at
+a time, and ``_trail_kernel`` decides them bit-sliced, each edge one int
+over the block's samples: a balance filter visits the vertices from the
+highest degree down and drops each sample at its first vertex whose
+imbalance rules out a trail, and the few samples left get a reached-edge
+connectivity test. Like the exact count, estimation runs on the standard
+library alone; ``statistics`` is imported inside ``wilson_interval``, so an
+exact count does not load it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,9 @@ import heapq
 import math
 from collections import Counter
 from collections.abc import Callable
+from functools import reduce
 from itertools import chain
+from operator import or_, xor
 
 from .graphs import Multigraph, Record, _check_ints
 
@@ -48,8 +49,14 @@ from .graphs import Multigraph, Record, _check_ints
 # and takes 0.08-0.09 s of wall time and 16 MB (2-vCPU Xeon VM, Python 3.11).
 EXACT_MAX_STATES = 200_000
 
-# Bytes of packed Philox words per estimator block.
-_BLOCK_CELLS = 1 << 21
+# Philox words per estimator block, rounded down to a multiple of 64 samples
+# and raised to at least 64 samples.
+_BLOCK_WORDS = 1 << 14
+
+# Philox4x64-10's round multipliers and key bumps.
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_MASK64 = (1 << 64) - 1
 
 class CountReport(Record):
     """Exact count result: d of the 2^m edge subsets are trails."""
@@ -83,83 +90,176 @@ class FamilyCount(Record):
     total: int
 
 
-def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], int]:
+def _philox(seed: int, lanes: int) -> Callable[[int], bytearray]:
+    """``draw(c)``: words 4c to 4(c + lanes) - 1 of the Philox stream keyed by ``seed``, as little-endian bytes.
+
+    Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC 2011) under the key
+    (seed, 0): counter value c + 1 yields words 4c to 4c + 3. Every counter
+    of a draw runs in its own 128-bit slot of one int, so a 64x64-bit product
+    never reaches the next slot and a round is 10 big-int operations for all
+    lanes at once. The replicated round keys and the counter ramp are built
+    once, here.
+    """
+
+    def spread(x: int) -> int:
+        return int.from_bytes(x.to_bytes(16, "little") * lanes, "little")
+
+    low = spread(_MASK64)
+    keys = [(spread(seed + r * _PHILOX_W0 & _MASK64), spread(r * _PHILOX_W1 & _MASK64)) for r in range(10)]
+    ramp = int.from_bytes(b"".join([c.to_bytes(16, "little") for c in range(1, lanes + 1)]), "little")
+
+    def draw(start: int) -> bytearray:
+        c = spread(start) + ramp
+        # c1 and c3 keep the high half of their slot, which only a masked sum reads.
+        c0, c1, c2, c3 = c & low, c >> 64, 0, 0
+        for k0, k1 in keys:
+            p0, p1 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
+            c0, c1, c2, c3 = (p1 >> 64 ^ c1 ^ k0) & low, p1, (p0 >> 64 ^ c3 ^ k1) & low, p0
+        # Each 128-bit slot of c0 | c1 << 64 holds a counter's first two words, and of c2 | c3 << 64 its last two.
+        out = bytearray(32 * lanes)
+        words = memoryview(out).cast("Q")
+        for k, pair in enumerate((c0 | (c1 & low) << 64, c2 | (c3 & low) << 64)):
+            pair = memoryview(pair.to_bytes(16 * lanes, "little")).cast("Q")
+            words[2 * k :: 4], words[2 * k + 1 :: 4] = pair[::2], pair[1::2]
+        return out
+
+    return draw
+
+
+# The masked swap stages of a u x u bit transpose, for units of u = 8, 16, 32
+# and 64 bits, with each unit's memoryview format: stage j swaps bit (r, c)
+# with bit (r + j, c - j) wherever bit j of r is 0 and of c is 1, and row r
+# of a block is bits u*r to u*r + u - 1 of its u*u/8 bytes, so the mask of a
+# block repeats j rows of the columns with bit j set and j empty rows.
+_SWAPS = {
+    u: (
+        fmt,
+        [
+            ((u - 1) * j, (sum(1 << c for c in range(u) if c & j).to_bytes(u // 8, "little") * j + bytes(u // 8 * j)) * (u // 2 // j))
+            for j in (32, 16, 8, 4, 2, 1)
+            if j < u
+        ],
+    )
+    for u, fmt in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+}
+
+
+def _equals(counter: list[int], value: int, full: int) -> int:
+    """The samples, of those in ``full``, whose bit-sliced ``counter`` (least significant plane first) holds ``value``."""
+    if not 0 <= value < 1 << len(counter):
+        return 0
+    eq = full
+    for k, plane in enumerate(counter):
+        eq &= plane if value >> k & 1 else ~plane
+    return eq
+
+
+def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[bytes | bytearray | memoryview], int]:
     """The batched trail decision for the graph whose edge ``j`` is ``edges[j]``.
 
-    Returns ``count_trails(words)``, which takes a ``(W, B)`` uint64 block with
-    W = ceil(m/64) (at least 1) whose column ``c`` is one subset: bit ``j % 64``
-    of ``words[j // 64, c]`` is edge ``j``. It clears the bits at or above m
-    of the last row in place and returns how many columns are trails.
+    Returns ``count_trails(words)``, which takes n*W little-endian 64-bit
+    words, W = ceil(m/64) (at least 1), sample-major, the Philox stream's own
+    layout: bit ``j % 64`` of word ``i*W + j // 64`` is edge ``j`` of sample
+    ``i``, and bits at or above m are ignored. One sample with edge set
+    ``mask`` is ``mask.to_bytes(8 * W, "little")``. It returns how many of the
+    n samples are trails.
 
-    Each touched vertex gets one (word, out-mask, in-mask) entry per word its
-    edges use, in any order, and the vertices are taken in descending degree
-    order (ties: lowest index), so most columns fail early. The balance filter
-    sums each vertex's imbalance, the popcount of its out-edges minus that of
-    its in-edges, and then drops the columns with |imbalance| > 1 or with more
-    than two nonzero imbalances so far; it stops when no column is left. The
-    nonempty survivors, if any, grow a set of reached edges from their lowest
-    edge: a vertex that a reached edge touches reaches all its present edges,
-    in sweeps over the vertices until a sweep changes nothing, and a column is
-    connected iff it reaches all its edges. Self-loops are forbidden, so two
-    weak components need four vertices, and with at most three touched vertices
-    every balanced nonempty column is a trail.
+    The samples are decided bit-sliced: edge ``j`` becomes one int whose bit
+    ``i`` is edge ``j`` of sample ``i``. A vertex that first reads an edge of
+    word row ``j // 64`` transposes the row in blocks of u samples, the
+    fewest of 8, 16, 32 or 64 bits that hold its edges, u x u bits at a time. Each touched
+    vertex has its out- and in-edges, in a plan built in one pass over the
+    edges, and the vertices are taken in descending degree order (ties:
+    lowest index), so most samples fail early. At each vertex a bit-sliced
+    counter adds its present out-edges and absent in-edges, imbalance plus
+    |ins|; a sample stays alive while it is |ins| - 1, |ins| or |ins| + 1 and
+    while no third vertex is nonzero, and the call returns once none is left.
+    The nonempty survivors, if any, grow a set of reached edges from their
+    lowest edge: a vertex that a reached edge touches reaches all its present
+    edges, in sweeps over the vertices until a sweep changes nothing, and a
+    sample is connected iff it reaches all its edges. Self-loops are
+    forbidden, so two weak components need four vertices, and with at most
+    three touched vertices every balanced nonempty sample is a trail.
     """
-    import numpy as np
-
     m = len(edges)
-    masks: dict[int, dict[int, list[int]]] = {}
+    width = max(1, -(-m // 64))
+    incident: dict[int, tuple[list[int], list[int]]] = {}
     for j, (s, t) in enumerate(edges):
-        bit = 1 << (j & 63)
-        masks.setdefault(s, {}).setdefault(j >> 6, [0, 0])[0] |= bit
-        masks.setdefault(t, {}).setdefault(j >> 6, [0, 0])[1] |= bit
-    degree = Counter(chain.from_iterable(edges))
+        incident.setdefault(s, ([], []))[0].append(j)
+        incident.setdefault(t, ([], []))[1].append(j)
     plan = [
-        [(w, out, inn) for w, (out, inn) in masks[v].items()]
-        for v in sorted(masks, key=lambda v: (-degree[v], v))
+        (outs, ins, (len(outs) + len(ins)).bit_length())
+        for _, (outs, ins) in sorted(incident.items(), key=lambda item: (-len(item[1][0]) - len(item[1][1]), item[0]))
     ]
-    # The smallest signed type that holds every vertex imbalance, which lies
-    # in [-degree, degree], and the negation of each.
-    imb_type = np.min_scalar_type(-max(degree.values(), default=0) - 1)
-    spare = np.uint64((1 << (m & 63)) - 1)
+    # The unit of each word row: the fewest bits, 8 at least, that hold its edges.
+    units = [max(8, 1 << (min(64, m - 64 * w) - 1).bit_length()) for w in range(width)]
+    masks: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def count_trails(words: np.ndarray) -> int:
-        if m == 0:
+    def count_trails(words: bytes | bytearray | memoryview) -> int:
+        words = memoryview(words).cast("B")
+        n = len(words) // (8 * width)
+        if not m or not n:
             return 0
-        if m & 63:
-            words[-1] &= spare
-        nonzero = np.zeros(words.shape[1], dtype=np.int8)
-        for entries in plan:
-            imb = sum(
-                np.subtract(np.bitwise_count(words[w] & out), np.bitwise_count(words[w] & inn), dtype=imb_type)
-                for w, out, inn in entries
-            )
-            nonzero += imb != 0
-            keep = np.flatnonzero((np.abs(imb) <= 1) & (nonzero <= 2))
-            words, nonzero = words.take(keep, axis=1), nonzero.take(keep)
-            # With thousands of vertices all columns can fail within a few; the rest of the plan costs seconds.
-            if not keep.size:
+        rows: dict[int, memoryview] = {}
+        columns: dict[int, int] = {}
+
+        def edge(j: int) -> int:
+            if j not in columns:
+                w = j >> 6
+                unit = units[w]
+                if w not in rows:
+                    fmt, swaps = _SWAPS[unit]
+                    blocks = -(-n // unit)
+                    if (unit, blocks) not in masks:
+                        masks[unit, blocks] = [(shift, int.from_bytes(mask * blocks, "little")) for shift, mask in swaps]
+                    x = int.from_bytes(words.cast(fmt)[64 // unit * w :: 64 // unit * width], "little")
+                    for shift, mask in masks[unit, blocks]:
+                        t = (x >> shift ^ x) & mask
+                        x ^= t ^ t << shift
+                    rows[w] = memoryview(x.to_bytes(unit * unit // 8 * blocks, "little")).cast(fmt)
+                columns[j] = int.from_bytes(rows[w][j & 63 :: unit], "little")
+            return columns[j]
+
+        full = (1 << n) - 1
+        alive, once, twice = full, 0, 0
+        for outs, ins, size in plan:
+            counter = [0] * size
+            for x in chain(map(edge, outs), [edge(j) ^ full for j in ins]):
+                for k, plane in enumerate(counter):
+                    counter[k], x = plane ^ x, plane & x
+                    if not x:
+                        break
+            zero = _equals(counter, len(ins), full)
+            alive &= zero | _equals(counter, len(ins) - 1, full) | _equals(counter, len(ins) + 1, full)
+            off = alive & ~zero
+            alive &= ~(off & twice)
+            twice |= off & once
+            once |= off
+            # With thousands of vertices all samples can fail within a few; the rest of the plan costs seconds.
+            if not alive:
                 return 0
-        words = words.take(np.flatnonzero(words.any(axis=0)), axis=1)
-        # On three vertices every column left is a trail (see above); sweeps would add 50% on the family.
-        if len(plan) <= 3:
-            return words.shape[1]
-        # Each column starts from the lowest set bit of its first nonzero word.
-        cols = np.arange(words.shape[1])
-        first = (words != 0).argmax(axis=0)
-        low = words[first, cols]
-        reached = np.zeros_like(words)
-        reached[first, cols] = low & (~low + 1)
-        while True:
-            before = reached.copy()
-            for entries in plan:
-                hit = np.zeros(words.shape[1], dtype=bool)
-                for w, out, inn in entries:
-                    hit |= (reached[w] & (out | inn)) != 0
-                for w, out, inn in entries:
-                    np.bitwise_or(reached[w], words[w] & (out | inn), out=reached[w], where=hit)
-            if np.array_equal(before, reached):
-                break
-        return int(np.count_nonzero((reached == words).all(axis=0)))
+        present = [edge(j) & alive for j in range(m)]
+        alive &= reduce(or_, present)
+        # On three vertices every sample left is a trail (see above); sweeps would add 10-20% to the kernel on the family.
+        if len(plan) <= 3 or not alive:
+            return alive.bit_count()
+        reached, rest = [], alive
+        for x in present:
+            reached.append(x & rest)
+            rest &= ~x
+        changed = True
+        while changed:
+            changed = False
+            for outs, ins, _ in plan:
+                hit = 0
+                for j in chain(outs, ins):
+                    hit |= reached[j]
+                for j in chain(outs, ins):
+                    grown = reached[j] | present[j] & hit
+                    if grown != reached[j]:
+                        reached[j], changed = grown, True
+        missing = reduce(or_, map(xor, present, reached))
+        return (alive & ~missing).bit_count()
 
     return count_trails
 
@@ -390,8 +490,9 @@ def _check_confidence(confidence: object) -> float:
     """``confidence`` as a ``float``, or ``ValueError`` naming it.
 
     It must be a real number, not a ``bool``, whose normal quantile at
-    (1 + confidence) / 2 exists in floats. A numpy float comes back as a
-    ``float``, so the interval is computed in float64 arithmetic.
+    (1 + confidence) / 2 exists in floats. A fixed-width float, such as a
+    32-bit one, comes back as a ``float``, so the interval is computed in
+    float64 arithmetic.
     """
     import numbers
 
@@ -442,8 +543,7 @@ def estimate_trail_fraction(
     are bit-identical for a fixed (seed, samples) pair; seeds lie in [0, 2^64).
 
     Raises ``ValueError`` for a bad ``samples``, ``seed`` or ``confidence``,
-    checked first, and then ``ImportError`` if numpy 2.0 or later, the
-    ``estimate`` extra, cannot be imported.
+    checked before any draw.
     """
     samples, seed = _check_ints(samples=samples, seed=seed)
     if samples < 1:
@@ -451,21 +551,14 @@ def estimate_trail_fraction(
     confidence = _check_confidence(confidence)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    try:
-        import numpy as np
-        # numpy 1.x imports, but lacks the popcount that _trail_kernel calls.
-        from numpy import bitwise_count  # noqa: F401
-    except ImportError:
-        raise ImportError("estimation needs numpy 2.0 or later: pip install 'trailfrac[estimate]'") from None
-
-    m = g.m
-    words = max(1, -(-m // 64))
-    block = max(1, _BLOCK_CELLS // (8 * words))
-    philox = np.random.Philox(key=seed)
+    width = max(1, -(-g.m // 64))
+    # Equal blocks, each a multiple of 64 samples, that draw fewer than 64 samples per block more than asked.
+    blocks = -(-samples // max(64, _BLOCK_WORDS // width & -64))
+    block = -(-samples // blocks) + 63 & -64
+    draw = _philox(seed, block * width // 4)
     count_trails = _trail_kernel(g.edges)
     successes = 0
     for done in range(0, samples, block):
-        size = min(block, samples - done)
-        successes += count_trails(philox.random_raw(size * words).reshape(size, words).T)
+        successes += count_trails(memoryview(draw(done * width // 4))[: 8 * width * min(block, samples - done)])
     ci_low, ci_high = wilson_interval(successes, samples, confidence)
     return EstimateReport(successes / samples, ci_low, ci_high, confidence, samples, seed)

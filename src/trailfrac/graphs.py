@@ -108,7 +108,7 @@ class Multigraph(Record):
 
 
 def _is_int(value: object) -> bool:
-    """Whether ``value`` is an integer: an ``int``, or a type ``operator.index`` takes, such as numpy's.
+    """Whether ``value`` is an integer: an ``int``, or a type ``operator.index`` takes, such as a fixed-width array integer.
 
     ``bool`` is not one, although it subclasses ``int``: ``True`` would alias 1.
     """
@@ -122,7 +122,7 @@ def _is_int(value: object) -> bool:
 def _check_ints(**values: object) -> list[int]:
     """The keyword values as ``int``s, or ``ValueError`` naming the first that is not an integer by ``_is_int``.
 
-    A numpy integer comes back as an ``int``, so shifts and products of it cannot wrap at 64 bits.
+    A fixed-width integer comes back as an ``int``, so shifts and products of it cannot wrap at 64 bits.
     """
     for name, value in values.items():
         if not _is_int(value):
@@ -163,7 +163,7 @@ def _edge_indices(g: Multigraph, subset: Iterable[int]) -> list[int]:
     The iterable is read once. Its indices are checked in bulk; if that
     fails, the same rules rerun one index at a time, in input order, to name
     the first that is not an integer, lies outside ``0..m-1`` or repeats. A
-    numpy integer passes that rerun and comes back as an ``int``.
+    fixed-width integer passes that rerun and comes back as an ``int``.
     """
     idx = list(subset)
     m = g.m

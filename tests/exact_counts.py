@@ -5,11 +5,10 @@ its recorded result, and its bounds in seconds of wall time and MB of the
 child's own max RSS (Linux). ``count`` must give the recorded d; any other
 command must write output whose SHA-256 is the recorded one. Each call runs
 as ``python -m trailfrac.cli`` in a child process, so it runs with the
-collector off, as from the entrypoint. Both children of a row, ``gen`` and
-the command, run under ``python -S`` unless the command is ``estimate``, the
-only one that needs numpy: ``-S`` keeps site-packages, numpy among them, off
-the path, so every other row runs as in an install without the ``estimate``
-extra, while PYTHONPATH still reaches the package. The checker loads only
+collector off, as from the entrypoint. Both children of every row, ``gen``
+and the command, run under ``python -S``: it keeps site-packages off the
+path, so each row runs as in a bare install of the package, with no
+dependency, while PYTHONPATH still reaches the package. The checker loads only
 the standard library and hashes in chunks, since a child's max RSS counts
 the parent's resident size at fork. Prints one line per row and exits 1 if
 any fails; about 35 s on a 2-vCPU VM, run from the repository root:
@@ -58,11 +57,11 @@ ROWS = [
     ("random --n 5 --m 400 --seed 1", "count", 611630582275262663965364340917974253422067582116487474158580897944136468300221592365766857708148396954163243790247658, 30, 150),
     # Fails on a return to the quadratic greedy_eis scan: about 160 s at this size.
     ("random --n 32000 --m 160000 --seed 1", "eis", "5a613973836a5cb3b004e1a03e370e1de64487046009e23519106022b7ad9b8d", 30, 150),
-    # Fails on a return to the unpacked estimator kernel, which sums every vertex
-    # imbalance of every sample before rejecting any: about 3.5 s against 0.25 s.
-    # Also guards the kernel's return once every column is rejected, which
-    # here comes after about six of its 2 000 vertices: about 2 s in process
-    # without it, against 0.06 s.
+    # Fails on an estimator kernel that transposes all 157 word rows of a
+    # block before deciding any sample: about 4 s in process against 0.6 s.
+    # Also guards the kernel's return once every sample is rejected, which
+    # here comes after a few of its 2 000 vertices: about 12 s in process
+    # without it.
     ("random --n 2000 --m 10000 --seed 1", "estimate --samples 20000 --seed 1", "6d1c3d268ac9b4a74b1525b9a3adbb0f8afdb139b49926fde9053c1c8ffa32de", 1.2, 150),
     # The scans fail on a fresh math.comb per m: about 19 s against 1 s, and 3 s
     # for JSON, which writes each d twice. JSON peaks at about 3.2x its 45 MB
@@ -94,7 +93,7 @@ def check_row(gen, cmd: str, want, seconds: float, max_mb: float, workdir: str) 
     """Whether ``trailfrac <cmd>``, on ``trailfrac gen <gen>`` if any, gives ``want`` within the bounds; prints why."""
     graph, out = os.path.join(workdir, "g.txt"), os.path.join(workdir, "out")
     name, *args = cmd.split()
-    cli = [sys.executable, *([] if name == "estimate" else ["-S"]), "-m", "trailfrac.cli"]
+    cli = [sys.executable, "-S", "-m", "trailfrac.cli"]
     what = "d" if name == "count" else "sha256"
     if gen:
         subprocess.run([*cli, "gen", *gen.split(), "--out", graph], check=True)

@@ -2,7 +2,7 @@
 
 The oracles here are deliberately self-contained (no imports from the
 library's decision logic) so tests compare two independent routes. The
-exception is ``enumerate_d``, which drives the estimator's numpy kernel over
+exception is ``enumerate_d``, which drives the estimator's kernel over
 every subset: it shares no code with the frontier count it checks. Past the
 reach of enumeration, ``few_vertex_d`` counts d exactly from binomial sums
 for any graph whose edges touch at most four vertices.
@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import sys
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -66,25 +67,18 @@ def enumerate_d(g: Multigraph) -> int:
     """d(G) by deciding all 2^m subsets with the estimator's kernel, ``counting._trail_kernel``.
 
     Mask ``x`` is edge set {j : bit j of x is set}, which is how the kernel reads
-    a one-word column, so blocks of consecutive masks go in as they are.
-    Block size follows ``counting._BLOCK_CELLS``, read at each call so a test
+    a one-word sample, so blocks of consecutive masks go in as they are.
+    Block size follows ``counting._BLOCK_WORDS``, read at each call so a test
     can shrink it. Practical up to m = 24 or so.
     """
     count_trails = counting._trail_kernel(g.edges)
-    block = max(1, counting._BLOCK_CELLS // 8)  # one word per mask
-    return sum(
-        count_trails(np.arange(start, min(start + block, 1 << g.m), dtype=np.uint64)[None])
-        for start in range(0, 1 << g.m, block)
-    )
+    block = counting._BLOCK_WORDS  # one word per mask
+    return sum(count_trails(array("Q", range(start, min(start + block, 1 << g.m)))) for start in range(0, 1 << g.m, block))
 
 
-def pack_columns(bits: np.ndarray) -> np.ndarray:
-    """The ``(W, B)`` uint64 word block of an ``(m, B)`` 0/1 block: bit ``j % 64`` of row ``j // 64`` is row ``j``."""
-    m, cols = bits.shape
-    words = np.zeros((max(1, -(-m // 64)), cols), dtype=np.uint64)
-    for j in range(m):
-        words[j // 64] |= bits[j].astype(np.uint64) << np.uint64(j % 64)
-    return words
+def pack_columns(masks, m: int) -> bytes:
+    """The kernel's sample-major words for edge sets ``masks`` of an m-edge graph: ceil(m/64) words each, at least 1."""
+    return b"".join(mask.to_bytes(8 * max(1, -(-m // 64)), "little") for mask in masks)
 
 
 def numpy_reference_d(g: Multigraph) -> int:

@@ -3,7 +3,6 @@ import gc
 import hashlib
 import io
 import json
-import os
 import random
 import re
 import subprocess
@@ -290,6 +289,13 @@ class TestEstimate:
         code, _, err = run(capsys, ["estimate", family4_file, "--samples", "10", "--seed", "-1"])
         assert code == 1
         assert "seed must lie in [0, 2**64)" in err
+
+    def test_zero_samples_exits_1(self, capsys, family4_file):
+        assert run(capsys, ["estimate", family4_file, "--samples", "0", "--seed", "1"]) == (
+            1,
+            "",
+            "error: samples must be positive\n",
+        )
 
 
 class TestEis:
@@ -737,7 +743,7 @@ class TestInputErrors:
 
 
 class TestImports:
-    # Modules a command other than estimate must not load.
+    # Modules no command loads; estimate alone may load statistics, for the Wilson interval.
     HEAVY = {"dataclasses", "inspect", "statistics", "numpy"}
 
     @staticmethod
@@ -761,7 +767,7 @@ class TestImports:
         added = self.added_modules("import trailfrac\ntrailfrac.counting.count_trails_exact")
         assert {m for m in added if m.startswith("trailfrac.")} == {"trailfrac.counting", "trailfrac.graphs"}
 
-    def test_only_estimate_loads_numpy(self, tmp_path, family4_file):
+    def test_no_command_loads_numpy(self, tmp_path, family4_file):
         calls = [
             (["count", family4_file], {"counting"}),
             (["check", family4_file, "--subset", "0,2", "--witness"], {"trails"}),
@@ -773,13 +779,11 @@ class TestImports:
         ]
         for argv, used in calls:
             argv = argv + ["--out", str(tmp_path / "out.txt")]
-            added = set(self.added_modules(f"from trailfrac.cli import main\nassert main({argv!r}) == 0"))
+            # -S keeps site-packages, numpy among them, off the path, so each command runs as in a bare install.
+            added = set(self.added_modules(f"from trailfrac.cli import main\nassert main({argv!r}) == 0", "-S"))
             own = {m for m in added if m.split(".")[0] == "trailfrac"}
             assert own == {"trailfrac", "trailfrac.cli", "trailfrac.graphs"} | {f"trailfrac.{m}" for m in used}, argv
-            if argv[0] == "estimate":
-                assert "numpy" in added
-            else:
-                assert not self.HEAVY & added, argv
+            assert self.HEAVY & added <= ({"statistics"} if argv[0] == "estimate" else set()), argv
 
     # Modules that these commands do not need. pathlib loads urllib.parse and
     # ipaddress; the exact fractions are written from m and d, and every d with str.
@@ -787,7 +791,6 @@ class TestImports:
 
     def test_commands_load_no_unused_module(self, tmp_path, family4_file):
         # -S keeps site, and any .pth file it runs, from loading a module first.
-        # estimate is left out: numpy cannot be imported under -S (see below).
         calls = [
             ["count", family4_file],
             ["check", family4_file, "--subset", "0,2", "--witness"],
@@ -795,29 +798,13 @@ class TestImports:
             ["bounds", "--m", "64"],
             ["scan", "--m-min", "4", "--m-max", "40"],
             ["gen", "family", "--m", "4"],
+            ["estimate", family4_file, "--samples", "100", "--seed", "1"],
         ]
         for argv in calls:
             code = f"from trailfrac.cli import main\nassert main({argv + ['--out', str(tmp_path / 'out.txt')]!r}) == 0"
             added = set(self.added_modules(code, "-S"))
-            assert not self.UNUSED & added, argv
-
-    # Under -S numpy cannot be imported, as in an install without the estimate
-    # extra. A stub numpy with no bitwise_count stands for numpy 1.x, which
-    # imports but would fail inside the kernel. Bad arguments are reported first.
-    @pytest.mark.parametrize("stub", [False, True])
-    def test_estimate_without_numpy(self, tmp_path, family4_file, stub):
-        env = src_env()
-        if stub:
-            (tmp_path / "numpy").mkdir()
-            (tmp_path / "numpy" / "__init__.py").write_text("open(__file__ + '.imported', 'w').close()\n")
-            env["PYTHONPATH"] += os.pathsep + str(tmp_path)
-        for samples, error in [
-            ("100", b"error: estimation needs numpy 2.0 or later: pip install 'trailfrac[estimate]'\n"),
-            ("0", b"error: samples must be positive\n"),
-        ]:
-            argv = ["estimate", family4_file, "--samples", samples, "--seed", "1"]
-            assert call_child(argv, "-S", env=env) == (1, b"", error)
-        assert (tmp_path / "numpy" / "__init__.py.imported").exists() is stub
+            # statistics, which estimate's Wilson interval needs, imports fractions and decimal itself.
+            assert not (self.UNUSED - ({"fractions", "decimal"} if argv[0] == "estimate" else set())) & added, argv
 
 
 def call_main(capsys, argv) -> tuple[int, bytes, bytes]:

@@ -25,7 +25,7 @@ from trailfrac import (
     is_trail,
     wilson_interval,
 )
-from trailfrac.counting import _frontier_order, _trail_kernel
+from trailfrac.counting import _frontier_order, _philox, _trail_kernel
 
 from helpers import (
     brute_force_d,
@@ -106,18 +106,18 @@ FEW_VERTEX_ROWS = [(n, m, seed) for n, ms in ((3, (300, 3000)), (4, (100, 300)))
 @st.composite
 def graphs_with_blocks(draw):
     """A graph whose edges touch 4 to 12 vertices, with parallel edges common,
-    and a 0/1 block of its edge subsets, one per column, often sparse enough
-    to be balanced."""
+    and a list of its edge subsets as masks, often sparse enough to be
+    balanced."""
     k = draw(st.integers(4, 12))
     # One pair per vertex touches all k of them; reversed pairs make short
-    # cycles, so columns that are balanced but disconnected are common.
+    # cycles, so samples that are balanced but disconnected are common.
     pool = [(v, draw(st.integers(0, k - 2).map(lambda t, v=v: t + (t >= v)))) for v in range(k)]
     pool += [(t, s) for s, t in pool if draw(st.booleans())]
     edges = draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=12))))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.15, 0.3, 0.5]))
-    bits = (rng.random((len(edges), draw(st.integers(1, 48)))) < density).astype(np.uint8)
-    return Multigraph(k, tuple(edges)), bits
+    masks = [sum(1 << j for j in range(len(edges)) if rng.random() < density) for _ in range(draw(st.integers(1, 48)))]
+    return Multigraph(k, tuple(edges)), masks
 
 
 class TestExactCount:
@@ -176,7 +176,8 @@ class TestExactCount:
     def test_small_blocks_same_count(self, monkeypatch):
         graphs = [gen_family(10), two_disjoint_two_cycles(), gen_random_multigraph(5, 12, seed=4)]
         want = [count_trails_exact(g).d for g in graphs]
-        monkeypatch.setattr(trailfrac.counting, "_BLOCK_CELLS", 40)
+        # 64 samples per block, the fewest.
+        monkeypatch.setattr(trailfrac.counting, "_BLOCK_WORDS", 64)
         assert [enumerate_d(g) for g in graphs] == want
 
     @settings(max_examples=200, deadline=None)
@@ -362,9 +363,9 @@ class TestConnectivity:
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_blocks())
     def test_block_count_matches_is_trail(self, case):
-        g, bits = case
-        assert _trail_kernel(g.edges)(pack_columns(bits)) == sum(
-            is_trail(g, np.flatnonzero(column).tolist()).is_trail for column in bits.T
+        g, masks = case
+        assert _trail_kernel(g.edges)(pack_columns(masks, g.m)) == sum(
+            is_trail(g, mask_members(mask)).is_trail for mask in masks
         )
 
     @settings(max_examples=150, deadline=None)
@@ -372,53 +373,48 @@ class TestConnectivity:
     def test_columns_match_networkx(self, case):
         import networkx as nx
 
-        g, bits = case
+        g, masks = case
         count_trails = _trail_kernel(g.edges)
-        words = pack_columns(bits)
         want = []
-        for column in bits.T:
-            edges = [g.edges[j] for j in np.flatnonzero(column)]
+        for mask in masks:
+            edges = [g.edges[j] for j in mask_members(mask)]
             imbalance = Counter(s for s, _ in edges)
             imbalance.subtract(t for _, t in edges)
             balanced = all(abs(x) <= 1 for x in imbalance.values()) and sum(map(abs, imbalance.values())) <= 2
             want.append(bool(edges) and balanced and nx.is_weakly_connected(nx.MultiDiGraph(edges)))
-        assert [count_trails(words[:, [c]]) for c in range(words.shape[1])] == want
-        assert count_trails(words) == sum(want)
+        assert [count_trails(pack_columns([mask], g.m)) for mask in masks] == want
+        assert count_trails(pack_columns(masks, g.m)) == sum(want)
 
     def test_wide_block_two_long_cycles(self):
-        # 40 000 touched vertices and W = 625 words per column: the union of
+        # 40 000 touched vertices and W = 625 words per sample: the union of
         # two disjoint cycles is balanced but not connected, one cycle alone
-        # is a trail, and the empty column is not.
+        # is a trail, and the empty sample is not.
         k = 20_000
         cycle = [(i, (i + 1) % k) for i in range(k)]
         edges = cycle + [(k + s, k + t) for s, t in cycle]
-        bits = np.zeros((2 * k, 3), dtype=np.uint8)
-        bits[:, 0] = 1
-        bits[:k, 1] = 1
-        words = pack_columns(bits)
-        assert words.shape == (625, 3)
+        words = pack_columns([(1 << 2 * k) - 1, (1 << k) - 1, 0], 2 * k)
+        assert len(words) == 3 * 625 * 8
         assert _trail_kernel(edges)(words) == 1
 
     @pytest.mark.parametrize("k", [127, 128, 129, 255, 256])
     def test_imbalance_does_not_wrap(self, k):
         # k parallel edges 0 -> 1, all present: the two vertices sit at +k and
         # -k, which an 8-bit imbalance would wrap for k = 128.
-        words = np.full((-(-k // 64), 1), 2**64 - 1, dtype=np.uint64)
+        words = b"\xff" * (8 * -(-k // 64))
         assert _trail_kernel([(0, 1)] * k)(words) == 0
 
     @pytest.mark.parametrize("m", [63, 64, 65])
     def test_bits_at_or_above_m_ignored(self, m):
-        # Columns: the last edge with every spare bit above it set, a single
+        # Samples: the last edge with every spare bit above it set, a single
         # spare bit, nothing, and the whole path with every spare bit set. A
-        # spare bit left in place would make the first and last columns look
+        # spare bit read as an edge would make the first and last samples look
         # disconnected and the second look like a one-edge trail.
         count_trails = _trail_kernel(gen_path(m).edges)
         width = 64 * -(-m // 64)
         spare = (1 << width) - (1 << m)
         masks = [1 << (m - 1) | spare, 1 << m & spare, 0, (1 << width) - 1]
-        words = np.array([[mask >> (64 * w) & (2**64 - 1) for mask in masks] for w in range(width // 64)], dtype=np.uint64)
-        assert [count_trails(words[:, [c]]) for c in range(len(masks))] == [1, 0, 0, 1]
-        assert count_trails(words) == 2
+        assert [count_trails(pack_columns([mask], m)) for mask in masks] == [1, 0, 0, 1]
+        assert count_trails(pack_columns(masks, m)) == 2
 
 
 class TestFamilyClosedForm:
@@ -450,6 +446,60 @@ class TestFamilyClosedForm:
                     even += 1
         fc = count_family_closed_form(8)
         assert (fc.even_count, fc.odd_count) == (even, odd)
+
+
+# Words 4c to 4c + 7 of numpy 2.4's Philox(key=seed, counter=c).random_raw,
+# recorded, so the stream the estimator reads is pinned without numpy: the
+# first 8 words and 8 words from near counter 10^6, for seeds at both ends of
+# [0, 2^64) and at the top bit.
+PHILOX_WORDS = {
+    (0, 0): (
+        0x02F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79, 0x907D7A052FD5B4DC,
+        0x809BF322883987C3, 0x471128B9E807F7DD, 0xF250BA0DBEC065B7, 0xFC6ED66767A457BC,
+    ),
+    (0, 10**6): (
+        0x678CA8A2167D1686, 0x92989BC25769CF2A, 0x81AB4CA9063CC4FF, 0xD3CFF3373063D2FD,
+        0x10B627009CE4425B, 0x92940820A0B51757, 0xAC3099D4BBBFF40B, 0x2120122E0258E50A,
+    ),
+    (1, 0): (
+        0x4DB6A27B756282DF, 0xD944FA03BABE0E2F, 0x27F872E577060D32, 0x07F697696A0482A2,
+        0xE677FE4BBD0452EC, 0x0D543DBA56D1E799, 0xBEBE12CAD0EB4D9E, 0x3F0B4ABD55F61F3D,
+    ),
+    (1, 10**6): (
+        0xD47A87C485F84C15, 0x9CCA9F4471B6CAAC, 0x37A536F4B8F43039, 0x706BCDA4F927D722,
+        0xB6A3BEE12F5516F2, 0x8D46CAA3E8992675, 0xCA1AEE5B9E547B2E, 0x3C27081F6CB4688F,
+    ),
+    (2**63 + 5, 0): (
+        0x728B30FAB2A953DF, 0x5BA26FDD386AB034, 0x262F0DD2A3169F4B, 0x7302F83312B3F927,
+        0xF313ED5E680942C0, 0x5AE8763924AF2F04, 0x962458D31C755C03, 0x613209D4A98C2917,
+    ),
+    (2**63 + 5, 10**6): (
+        0x59172901BC5B5B7B, 0x8690EDE9E428033F, 0xAFF4B3858363BDFD, 0xE1D27FA4621D523D,
+        0x5CD1C571FF178C1A, 0x0C9DAB44318373B0, 0xDB1FE40D7549F9B8, 0xD3BF19F111D1E637,
+    ),
+    (2**64 - 1, 0): (
+        0x3C2521C58DDE5BFB, 0xB7A1AD5DAE1306D7, 0x6942EAE9FD2FEB84, 0xB7552E878D1C26FE,
+        0x59A439C096C17B4E, 0xC34CCC2492B8FCFE, 0x8537FBAA1803E440, 0x4E61296EEE79EA30,
+    ),
+    (2**64 - 1, 10**6): (
+        0x761FFC04CC268972, 0xA556C3DCB0B90392, 0xDEA722E1B4B8D65A, 0xE4D7F5CD1F2BF6AA,
+        0xBF136615D7D456DB, 0xE8F501E3C3E73ECC, 0x3F972A98C3E8568F, 0x6AA8CA842D25A21E,
+    ),
+}
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("seed, start", sorted(PHILOX_WORDS), ids=lambda v: hex(v))
+    def test_recorded_words(self, seed, start):
+        assert tuple(memoryview(_philox(seed, 2)(start)).cast("Q")) == PHILOX_WORDS[seed, start]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1) | st.integers(0, 2**20), st.integers(1, 40))
+    # A counter past 2**64 - 1 carries into its second word, as numpy's does.
+    @example(2**64 - 1, 2**64 - 3, 8)
+    def test_matches_numpy(self, seed, start, lanes):
+        want = np.random.Philox(key=seed, counter=start).random_raw(4 * lanes).tolist()
+        assert list(memoryview(_philox(seed, lanes)(start)).cast("Q")) == want
 
 
 # Success counts of estimate_trail_fraction(_golden_graph(n, m), samples=3000,
@@ -517,8 +567,8 @@ class TestEstimate:
         graphs = [_golden_graph(n, m) for m, n in [(16, 3), (40, 4), (65, 3), (130, 2)]]
         cases = [(g, seed) for g in graphs for seed in GOLDEN_SEEDS]
         want = [estimate_trail_fraction(g, 1000, seed) for g, seed in cases]
-        # 16 to 50 samples per block for these graphs.
-        monkeypatch.setattr(trailfrac.counting, "_BLOCK_CELLS", 400)
+        # 64 samples per block, the fewest.
+        monkeypatch.setattr(trailfrac.counting, "_BLOCK_WORDS", 64)
         assert [estimate_trail_fraction(g, 1000, seed) for g, seed in cases] == want
 
     def test_many_parallel_edges_never_balance(self):
