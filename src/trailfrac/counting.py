@@ -144,16 +144,6 @@ _SWAPS = {
 }
 
 
-def _equals(counter: list[int], value: int, full: int) -> int:
-    """The samples, of those in ``full``, whose bit-sliced ``counter`` (least significant plane first) holds ``value``."""
-    if not 0 <= value < 1 << len(counter):
-        return 0
-    eq = full
-    for k, plane in enumerate(counter):
-        eq &= plane if value >> k & 1 else ~plane
-    return eq
-
-
 def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[bytes | bytearray | memoryview], int]:
     """The batched trail decision for the graph whose edge ``j`` is ``edges[j]``.
 
@@ -171,9 +161,11 @@ def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[bytes | bytea
     vertex has its out- and in-edges, in a plan built in one pass over the
     edges, and the vertices are taken in descending degree order (ties:
     lowest index), so most samples fail early. At each vertex a bit-sliced
-    counter adds its present out-edges and absent in-edges, imbalance plus
-    |ins|; a sample stays alive while it is |ins| - 1, |ins| or |ins| + 1 and
-    while no third vertex is nonzero, and the call returns once none is left.
+    counter starts at 1 - |ins| and adds its present out-edges and absent
+    in-edges, so it ends at the imbalance plus 1; its planes hold the degree
+    plus 2, so it never wraps onto 0, 1 or 2. As in ``trails._balanced``, a
+    sample stays alive while it is 0, 1 or 2 and no second vertex is at 2
+    (+1), and the call returns once none is left.
     The nonempty survivors, if any, grow a set of reached edges from their
     lowest edge: a vertex that a reached edge touches reaches all its present
     edges, in sweeps over the vertices until a sweep changes nothing, and a
@@ -188,7 +180,7 @@ def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[bytes | bytea
         incident.setdefault(s, ([], []))[0].append(j)
         incident.setdefault(t, ([], []))[1].append(j)
     plan = [
-        (outs, ins, (len(outs) + len(ins)).bit_length())
+        (outs, ins, (len(outs) + len(ins) + 1).bit_length())
         for _, (outs, ins) in sorted(incident.items(), key=lambda item: (-len(item[1][0]) - len(item[1][1]), item[0]))
     ]
     # The unit of each word row: the fewest bits, 8 at least, that hold its edges.
@@ -221,20 +213,20 @@ def _trail_kernel(edges: tuple[tuple[int, int], ...]) -> Callable[[bytes | bytea
             return columns[j]
 
         full = (1 << n) - 1
-        alive, once, twice = full, 0, 0
+        alive, ups = full, 0
         for outs, ins, size in plan:
-            counter = [0] * size
+            # Started at 1 - |ins|, the counter ends at the imbalance plus 1, modulo 2^size.
+            counter = [full if (1 - len(ins)) >> k & 1 else 0 for k in range(size)]
             for x in chain(map(edge, outs), [edge(j) ^ full for j in ins]):
                 for k, plane in enumerate(counter):
                     counter[k], x = plane ^ x, plane & x
                     if not x:
                         break
-            zero = _equals(counter, len(ins), full)
-            alive &= zero | _equals(counter, len(ins) - 1, full) | _equals(counter, len(ins) + 1, full)
-            off = alive & ~zero
-            alive &= ~(off & twice)
-            twice |= off & once
-            once |= off
+            # Every imbalance in {-1, 0, 1} and at most one at +1, as in trails._balanced.
+            alive &= ~reduce(or_, counter[2:], counter[0] & counter[1])
+            up = alive & counter[1]
+            alive &= ~(up & ups)
+            ups |= up
             # With thousands of vertices all samples can fail within a few; the rest of the plan costs seconds.
             if not alive:
                 return 0
